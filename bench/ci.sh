@@ -157,11 +157,28 @@ else
   echo "portfolio bench: best jobs=2 speedup x$best (cores_online=$cores_online)"
 fi
 
+# Benchmark correctness smoke: each ecbench workload (enable, fast,
+# preserve, serve) checks every answer it timed against an independent
+# reference and exits 0 only if all of them passed (1 = a check
+# failed, 2 = bad arguments or an inherited OCAMLRUNPARAM/CAMLRUNPARAM,
+# which the smoke clears because it gates answers, not timings).  One
+# short window per workload runs the library calls the benchmark makes,
+# which the unit tests above do not.
+echo "== ecbench correctness smoke (four workloads, --seconds 1) =="
+for workload in enable fast preserve serve; do
+  status=0
+  env -u OCAMLRUNPARAM -u CAMLRUNPARAM bash ecbench/run.sh --workload "$workload" \
+    --seed 1 --seconds 1 --trace 0 > /dev/null || status=$?
+  [ "$status" -eq 0 ] || { echo "ecbench $workload: expected exit 0, got $status"; exit 1; }
+  echo "ecbench $workload: every answer passed its check"
+done
+
 # Benchmark matrix smoke: run the full engine-config × scenario ×
 # scale cross product at smoke scale against the committed store
 # (bench/results.jsonl), gate each cell against the most recent cell
 # from a different commit, and append this run's cells so the store
-# keeps accumulating measurement history.  The matrix runner itself
+# keeps accumulating measurement history (once per commit: a re-run
+# skips the cells the store already holds for it).  The matrix runner itself
 # skips the wall-time gate when cores_online <= 1 (it prints the skip
 # notice); the deterministic work counters are gated unconditionally.
 echo "== benchmark matrix (--matrix, trend gate over bench/results.jsonl) =="

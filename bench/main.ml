@@ -59,6 +59,23 @@ let check_sink flag = function
        Printf.eprintf "bench: %s expects a writable path: %s\n" flag msg;
        exit 2)
 
+(* Numeric flags follow ecsat's [check_jobs] convention: a malformed or
+   out-of-range value is a usage error caught before any work runs,
+   diagnostic on stderr naming the flag, exit 2. *)
+let usage_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("bench: " ^ msg);
+      exit 2)
+    fmt
+
+let int_flag flag ~lo ~hi s =
+  match int_of_string_opt s with
+  | Some n when n >= lo && n <= hi -> n
+  | Some n when hi = max_int -> usage_error "%s must be >= %d (got %d)" flag lo n
+  | Some n -> usage_error "%s must be in %d..%d (got %d)" flag lo hi n
+  | None -> usage_error "%s expects an integer, got %S" flag s
+
 let parse_args () =
   let a =
     { table = None; scale = Ec_harness.Protocol.default_config.scale; trials = 5;
@@ -70,16 +87,18 @@ let parse_args () =
   let rec go = function
     | [] -> ()
     | "--table" :: n :: rest | "-t" :: n :: rest ->
-      a.table <- Some (int_of_string n);
+      a.table <- Some (int_flag "--table" ~lo:1 ~hi:3 n);
       go rest
     | "--scale" :: s :: rest ->
-      a.scale <- float_of_string s;
+      (match float_of_string_opt s with
+      | Some x when x > 0.0 && Float.is_finite x -> a.scale <- x
+      | Some _ | None -> usage_error "--scale expects a positive number, got %S" s);
       go rest
     | "--trials" :: n :: rest ->
-      a.trials <- int_of_string n;
+      a.trials <- int_flag "--trials" ~lo:1 ~hi:max_int n;
       go rest
     | "--jobs" :: n :: rest | "-j" :: n :: rest ->
-      a.jobs <- max 1 (int_of_string n);
+      a.jobs <- int_flag "--jobs" ~lo:1 ~hi:max_int n;
       go rest
     | "--trace" :: path :: rest ->
       a.trace <- Some path;
@@ -124,12 +143,8 @@ let parse_args () =
            |> List.filter (fun x -> x <> "")
            |> List.map int_of_string
        with Failure _ ->
-         Printf.eprintf "bench: --matrix-scales expects a comma-separated int list, got %S\n" s;
-         exit 2);
-      if a.matrix_scales = [] then begin
-        Printf.eprintf "bench: --matrix-scales expects at least one scale\n";
-        exit 2
-      end;
+         usage_error "--matrix-scales expects a comma-separated int list, got %S" s);
+      if a.matrix_scales = [] then usage_error "--matrix-scales expects at least one scale";
       go rest
     | "--matrix-engine" :: spec :: rest ->
       (match Ec_core.Engine_config.parse spec with
@@ -306,7 +321,7 @@ let run_maxsat args config =
         budget = Ec_util.Budget.create ~conflicts:200_000 ()
       }
     in
-    match Ec_sat.Cdcl.solve_formula ~options f with
+    match (Ec_sat.Cdcl.solve_response ~options f).Ec_sat.Cdcl.outcome with
     | Ec_sat.Outcome.Sat _ -> true
     | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ -> false
   in
@@ -556,7 +571,9 @@ let run_matrix args =
     (List.length verdicts - List.length failures)
     (List.length verdicts) without_baseline;
   (match Ec_harness.Matrix.append ~path:args.store cells with
-  | Ok () -> Printf.printf "  appended %d cells to %s\n" (List.length cells) args.store
+  | Ok n ->
+    Printf.printf "  appended %d cells to %s (%d already stored)\n" n args.store
+      (List.length cells - n)
   | Error e ->
     Printf.eprintf "bench: cannot append to results store: %s\n" e;
     exit 2);
@@ -594,7 +611,9 @@ let micro_tests () =
   let solve_with build =
     Staged.stage (fun () ->
         let enc = build () in
-        ignore (Ec_ilpsolver.Bnb.solve_decision ~options:bnb_capped (Ec_core.Encode.model enc)))
+        ignore
+          (Ec_ilpsolver.Bnb.solve_decision_response ~options:bnb_capped
+             (Ec_core.Encode.model enc)))
   in
   let t1 =
     Test.make_grouped ~name:"table1"
@@ -621,7 +640,9 @@ let micro_tests () =
                     ~backend:(Ec_core.Backend.Ilp_exact bnb_capped) f' p)));
         Test.make ~name:"full-resolve"
           (Staged.stage (fun () ->
-               ignore (Ec_core.Backend.solve (Ec_core.Backend.Ilp_exact bnb_capped) f'))) ]
+               ignore
+                 (Ec_core.Backend.solve_response (Ec_core.Backend.Ilp_exact bnb_capped) f')))
+      ]
   in
   let t3 =
     Test.make_grouped ~name:"table3"
@@ -639,7 +660,9 @@ let micro_tests () =
                     f' ~reference:p)));
         Test.make ~name:"plain-resolve"
           (Staged.stage (fun () ->
-               ignore (Ec_core.Backend.solve (Ec_core.Backend.Ilp_exact bnb_capped) f'))) ]
+               ignore
+                 (Ec_core.Backend.solve_response (Ec_core.Backend.Ilp_exact bnb_capped) f')))
+      ]
   in
   ignore a0;
   [ t1; t2; t3 ]
@@ -689,12 +712,13 @@ let run_ablations args =
   (* A1: greedy completion in B&B (optimization mode). *)
   let t_on =
     time_runs 3 (fun () ->
-        ignore (Ec_ilpsolver.Bnb.solve ~options:bnb_capped (Ec_core.Encode.model (enc ()))))
+        ignore
+          (Ec_ilpsolver.Bnb.solve_response ~options:bnb_capped (Ec_core.Encode.model (enc ()))))
   in
   let t_off =
     time_runs 3 (fun () ->
         ignore
-          (Ec_ilpsolver.Bnb.solve
+          (Ec_ilpsolver.Bnb.solve_response
              ~options:{ bnb_capped with greedy_completion = false }
              (Ec_core.Encode.model (enc ()))))
   in
@@ -705,7 +729,7 @@ let run_ablations args =
   let t_lp =
     time_runs 3 (fun () ->
         ignore
-          (Ec_ilpsolver.Bnb.solve
+          (Ec_ilpsolver.Bnb.solve_response
              ~options:{ bnb_capped with use_lp_bounding = true; lp_max_depth = 6 }
              (Ec_core.Encode.model (enc ()))))
   in
@@ -716,7 +740,7 @@ let run_ablations args =
   let t_first =
     time_runs 3 (fun () ->
         ignore
-          (Ec_ilpsolver.Bnb.solve
+          (Ec_ilpsolver.Bnb.solve_response
              ~options:{ bnb_capped with branching = Ec_ilpsolver.Bnb.First_unfixed }
              (Ec_core.Encode.model (enc ()))))
   in
@@ -743,11 +767,11 @@ let run_ablations args =
       | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ ->
         Printf.printf "  A4 %-28s failed\n" label
     in
-    preserved "CDCL cold start:" (Ec_sat.Cdcl.solve_formula f');
+    preserved "CDCL cold start:" (Ec_sat.Cdcl.solve_response f').Ec_sat.Cdcl.outcome;
     preserved "CDCL phase-hint warm start:"
-      (Ec_sat.Cdcl.solve_formula
+      (Ec_sat.Cdcl.solve_response
          ~options:{ Ec_sat.Cdcl.default_options with phase_hint = Some reference }
-         f');
+         f').Ec_sat.Cdcl.outcome;
     let r = Ec_core.Preserving.resolve f' ~reference in
     Printf.printf "  A4 %-28s preserved %5.1f%% (optimal)\n" "preserving EC:"
       (100.0 *. Ec_core.Preserving.preserved_fraction r);
@@ -800,7 +824,11 @@ let run_ablations args =
     let solve_alloc ~enabled g =
       let enc = Ec_coloring.Encode_coloring.make g ~colors:7 in
       if enabled then Ec_coloring.Ec_ops.add_enabling enc;
-      let s, _ = Ec_ilpsolver.Bnb.solve_decision ~options:opts (Ec_coloring.Encode_coloring.model enc) in
+      let s =
+        (Ec_ilpsolver.Bnb.solve_decision_response ~options:opts
+           (Ec_coloring.Encode_coloring.model enc))
+          .Ec_ilpsolver.Bnb.solution
+      in
       Ec_coloring.Encode_coloring.decode enc s
     in
     let run_stream alloc =
@@ -836,7 +864,7 @@ let run_ablations args =
     Ec_instances.Registry.scale (min args.scale 0.25) (Ec_instances.Registry.find "jnh1")
   in
   let a8 = Ec_instances.Registry.build a8_spec in
-  (match Ec_sat.Cdcl.solve_formula a8.formula with
+  (match (Ec_sat.Cdcl.solve_response a8.formula).Ec_sat.Cdcl.outcome with
   | Ec_sat.Outcome.Sat a0 ->
     let rng = Ec_util.Rng.create 777 in
     let additions =
@@ -851,7 +879,7 @@ let run_ablations args =
           List.iter
             (fun c ->
               f := Ec_cnf.Formula.add_clause !f c;
-              ignore (Ec_sat.Cdcl.solve_formula !f))
+              ignore (Ec_sat.Cdcl.solve_response !f))
             additions)
     in
     (* incremental session *)
@@ -887,7 +915,7 @@ let run_ablations args =
       (Ec_instances.Registry.scale (min args.scale 0.3) (Ec_instances.Registry.find "ii8b2"))
   in
   let t_plain =
-    time_runs 3 (fun () -> ignore (Ec_sat.Cdcl.solve_formula a9.formula))
+    time_runs 3 (fun () -> ignore (Ec_sat.Cdcl.solve_response a9.formula))
   in
   let t_pre =
     time_runs 3 (fun () -> ignore (Ec_sat.Preprocess.solve_with_preprocessing a9.formula))

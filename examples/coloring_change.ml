@@ -27,8 +27,10 @@ let () =
   let opts =
     { Ec_ilpsolver.Bnb.default_options with budget = Ec_util.Budget.of_time 20.0 }
   in
-  let solution, _ =
-    Ec_ilpsolver.Bnb.solve_decision ~options:opts (Ec_coloring.Encode_coloring.model enc)
+  let solution =
+    (Ec_ilpsolver.Bnb.solve_decision_response ~options:opts
+       (Ec_coloring.Encode_coloring.model enc))
+      .Ec_ilpsolver.Bnb.solution
   in
   let allocation =
     match Ec_coloring.Encode_coloring.decode enc solution with
@@ -82,8 +84,10 @@ let () =
     if u <> w then g := Ec_coloring.Graph.add_edge !g u w
   done;
   let fresh_enc = Ec_coloring.Encode_coloring.make !g ~colors in
-  let fresh, _ =
-    Ec_ilpsolver.Bnb.solve_decision ~options:opts (Ec_coloring.Encode_coloring.model fresh_enc)
+  let fresh =
+    (Ec_ilpsolver.Bnb.solve_decision_response ~options:opts
+       (Ec_coloring.Encode_coloring.model fresh_enc))
+      .Ec_ilpsolver.Bnb.solution
   in
   (match Ec_coloring.Encode_coloring.decode fresh_enc fresh with
   | Some c ->

@@ -51,7 +51,9 @@ let () =
   stage "Re-solve via fast EC (Figure 2), from each starting solution";
   List.iter
     (fun (label, init) ->
-      match Ec_core.Flow.apply_change ~strategy:Ec_core.Flow.Fast init script with
+      match
+        (Ec_core.Flow.apply_change_response ~strategy:Ec_core.Flow.Fast init script).result
+      with
       | Some u ->
         let vars, clauses = Option.value u.sub_instance_size ~default:(0, 0) in
         Printf.printf
@@ -62,8 +64,8 @@ let () =
 
   stage "Re-solve via preserving EC";
   (match
-     Ec_core.Flow.apply_change
-       ~strategy:(Ec_core.Flow.Preserve Ec_core.Preserving.default_engine) ec script
+     (Ec_core.Flow.apply_change_response
+       ~strategy:(Ec_core.Flow.Preserve Ec_core.Preserving.default_engine) ec script).result
    with
   | Some u ->
     Printf.printf "preserving EC kept %.1f%% of the initial solution (%.4fs)\n"
@@ -71,7 +73,7 @@ let () =
   | None -> print_endline "preserving EC failed");
 
   stage "Baseline: full re-solve with no EC goals";
-  match Ec_core.Flow.apply_change ~strategy:Ec_core.Flow.Full ec script with
+  match (Ec_core.Flow.apply_change_response ~strategy:Ec_core.Flow.Full ec script).result with
   | Some u ->
     Printf.printf "full re-solve preserved %.1f%% by accident (%.4fs)\n"
       (100.0 *. u.preserved_fraction) u.resolve_time_s

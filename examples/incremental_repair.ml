@@ -65,7 +65,7 @@ let () =
     in
     (* Reference cost: solve f' from scratch. *)
     let _, full_t =
-      Ec_util.Stopwatch.time (fun () -> Ec_core.Backend.solve solver f')
+      Ec_util.Stopwatch.time (fun () -> (Ec_core.Backend.solve_response solver f').outcome)
     in
     (match r.solution with
     | Some a ->

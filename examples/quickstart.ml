@@ -41,7 +41,8 @@ let () =
   section "Solving through the ILP encoding (set cover, eq. 4-6)";
   let enc = Ec_core.Encode.of_formula f in
   Printf.printf "%s" (Ec_ilp.Model.to_string (Ec_core.Encode.model enc));
-  let solution, stats = Ec_ilpsolver.Bnb.solve (Ec_core.Encode.model enc) in
+  let r = Ec_ilpsolver.Bnb.solve_response (Ec_core.Encode.model enc) in
+  let solution = r.Ec_ilpsolver.Bnb.solution and stats = r.Ec_ilpsolver.Bnb.stats in
   (match Ec_core.Encode.decode enc solution with
   | Some a ->
     Printf.printf "ILP optimum (%d nodes): %s — %d literals selected, %d don't-cares\n"
@@ -60,8 +61,8 @@ let () =
       init.flexibility init.solve_time_s;
 
     section "Fast EC after eliminating v3 (Figure 2)";
-    (match Ec_core.Flow.apply_change ~strategy:Ec_core.Flow.Fast init
-             [ Ec_cnf.Change.Eliminate_var 3 ] with
+    (match (Ec_core.Flow.apply_change_response ~strategy:Ec_core.Flow.Fast init
+             [ Ec_cnf.Change.Eliminate_var 3 ]).result with
     | Some u ->
       let vars, clauses = Option.value u.sub_instance_size ~default:(0, 0) in
       Printf.printf

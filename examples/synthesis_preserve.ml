@@ -34,7 +34,7 @@ let () =
   Printf.printf "Stage-1 design: %s (%d vars, %d clauses)\n" spec.name
     (Ec_cnf.Formula.num_vars f) (Ec_cnf.Formula.num_clauses f);
   let stage1 =
-    match Ec_core.Backend.solve Ec_core.Backend.ilp_exact f with
+    match (Ec_core.Backend.solve_response Ec_core.Backend.ilp_exact f).outcome with
     | Ec_sat.Outcome.Sat a -> a
     | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ -> failwith "unsat base"
   in
@@ -71,7 +71,7 @@ let () =
   in
 
   (* Policy 1: plain re-solve. *)
-  (match Ec_core.Backend.solve Ec_core.Backend.ilp_exact f' with
+  (match (Ec_core.Backend.solve_response Ec_core.Backend.ilp_exact f').outcome with
   | Ec_sat.Outcome.Sat a -> report "plain re-solve:" (Some a) false
   | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ -> report "plain re-solve:" None false);
 

@@ -98,7 +98,9 @@ let solve_cone options g ~colors color_of free_nodes =
         (Ec_ilp.Linexpr.var (Encode_coloring.var enc ~node ~color:color_of.(node)))
         Ec_ilp.Model.Eq 1.0
   done;
-  let solution, _ = Ec_ilpsolver.Bnb.solve_decision ~options model in
+  let solution =
+    (Ec_ilpsolver.Bnb.solve_decision_response ~options model).Ec_ilpsolver.Bnb.solution
+  in
   Encode_coloring.decode enc solution
 
 let fast_resolve ?(options = Ec_ilpsolver.Bnb.default_options) g ~colors color_of =
@@ -164,8 +166,9 @@ let fast_resolve ?(options = Ec_ilpsolver.Bnb.default_options) g ~colors color_o
       | Some _ | None -> (
         (* cone infeasible under pins: full re-solve *)
         let enc = Encode_coloring.make g ~colors in
-        let solution, _ =
-          Ec_ilpsolver.Bnb.solve_decision ~options (Encode_coloring.model enc)
+        let solution =
+          (Ec_ilpsolver.Bnb.solve_decision_response ~options (Encode_coloring.model enc))
+            .Ec_ilpsolver.Bnb.solution
         in
         match Encode_coloring.decode enc solution with
         | Some c ->
@@ -214,7 +217,9 @@ let preserving_resolve ?(options = Ec_ilpsolver.Bnb.default_options) ?(pins = []
           (Ec_ilp.Linexpr.var (Encode_coloring.var enc ~node ~color:c))
           Ec_ilp.Model.Eq 1.0)
     pins;
-  let solution, _ = Ec_ilpsolver.Bnb.solve ~options model in
+  let solution =
+    (Ec_ilpsolver.Bnb.solve_response ~options model).Ec_ilpsolver.Bnb.solution
+  in
   match Encode_coloring.decode enc solution with
   | None -> { coloring = None; preserved = 0; total = compared; optimal = true }
   | Some coloring ->

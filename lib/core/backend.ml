@@ -45,8 +45,6 @@ let to_config = function
 let of_config_exn c =
   match of_config c with Ok t -> t | Error e -> invalid_arg ("Backend.of_config: " ^ e)
 
-let diversified_cdcl i = of_config_exn (Engine_config.diversified_cdcl i)
-
 let with_phase_hint t hint =
   match t with
   | Cdcl options -> Cdcl { options with phase_hint = Some hint }
@@ -89,7 +87,7 @@ type model_response = {
 (* Per-engine spend, recorded once per engine-level solve from the
    same [Budget.counters] record the response carries — so a metrics
    snapshot's per-engine sums reconcile exactly with the summed
-   counters a chain or portfolio response reports.  "decisions" is
+   counters a portfolio or flow response reports.  "decisions" is
    [spent_nodes] (CDCL decisions / B&B nodes / DPLL branches). *)
 let observe_response ~engine (c : Ec_util.Budget.counters) =
   if Ec_util.Metrics.enabled () then begin
@@ -119,7 +117,7 @@ let maybe_recover recover_dc formula outcome =
 
 (* A raising engine must not take the whole flow down: the exception is
    caught at this boundary and reported as the control-plane reason
-   [Engine_failure], which a chain treats like any local exhaustion.
+   [Engine_failure], which callers treat like any local exhaustion.
    The stochastic engine gets a bounded number of fresh attempts under
    a reseeded RNG first — a crash in randomized search is often
    seed-local. *)
@@ -160,8 +158,9 @@ let outcome_tag = function
   | Ec_sat.Outcome.Unsat -> "unsat"
   | Ec_sat.Outcome.Unknown _ -> "unknown"
 
-let solve_response ?(recover_dc = true) ?budget t formula =
+let solve_response ?(recover_dc = true) ?budget ?hint t formula =
   let t = match budget with None -> t | Some b -> with_budget t b in
+  let t = match hint with None -> t | Some h -> with_phase_hint t h in
   let respond outcome reason counters =
     { outcome; reason; counters; engine = name t }
   in
@@ -234,11 +233,12 @@ let solve_response ?(recover_dc = true) ?budget t formula =
     in
     (* Certification: a Sat model leaves this module only after an
        independent clause-by-clause re-check (O(formula), no extra
-       solve); a failed certificate is demoted to an honest Unknown. *)
-    match Certify.outcome ~engine:(name t) formula outcome with
-    | Ec_sat.Outcome.Unknown (Ec_util.Budget.Engine_failure _ as r)
-      when Ec_sat.Outcome.is_sat outcome -> respond (Ec_sat.Outcome.Unknown r) r counters
-    | certified -> respond certified reason counters
+       solve), and an Unsat only if the hint does not satisfy the
+       formula; a failed certificate is demoted to an honest Unknown. *)
+    match (outcome, Certify.outcome ~engine:(name t) ?witness:hint formula outcome) with
+    | (Ec_sat.Outcome.Sat _ | Ec_sat.Outcome.Unsat), (Ec_sat.Outcome.Unknown r as demoted) ->
+      respond demoted r counters
+    | _, certified -> respond certified reason counters
   end
   in
   let r =
@@ -252,9 +252,6 @@ let solve_response ?(recover_dc = true) ?budget t formula =
   in
   observe_response ~engine:r.engine r.counters;
   r
-
-let solve ?recover_dc ?budget t formula =
-  (solve_response ?recover_dc ?budget t formula).outcome
 
 let solve_model_response ?budget t model =
   let t = match budget with None -> t | Some b -> with_budget t b in
@@ -400,59 +397,6 @@ let solve_model_response ?budget t model =
   observe_response ~engine:r.engine r.counters;
   r
 
-let solve_model ?budget t model = (solve_model_response ?budget t model).solution
-
-(* --- graceful degradation -------------------------------------------- *)
-
-let default_chain = [ ilp_exact; ilp_heuristic; cdcl ]
-
-let solve_chain_sequential ?recover_dc ?(budget = Ec_util.Budget.unlimited) ?hint stages
-    formula =
-  let stages = if stages = [] then [ cdcl ] else stages in
-  let rec go idx remaining spent = function
-    | [] -> assert false
-    | stage :: rest ->
-      let stage =
-        match hint with None -> stage | Some h -> with_phase_hint stage h
-      in
-      let r =
-        Ec_util.Trace.span ~cat:"solve"
-          ~args:[ ("stage", string_of_int idx); ("engine", name stage) ]
-          ~result_args:(fun (r : response) -> [ ("outcome", outcome_tag r.outcome) ])
-          "chain.stage"
-        @@ fun () ->
-        let r = solve_response ?recover_dc ~budget:remaining stage formula in
-        (* Cross-examine a claimed UNSAT against the warm-start witness:
-           a hint that still satisfies the formula is positive proof the
-           verdict is wrong (forged or buggy), so the stage is treated as
-           failed and the chain keeps going. *)
-        match (r.outcome, hint) with
-        | Ec_sat.Outcome.Unsat, Some w
-          when Certify.refutes_unsat formula ~witness:w ->
-          let reason =
-            Ec_util.Budget.Engine_failure
-              (r.engine, "unsat verdict refuted by known witness")
-          in
-          { r with outcome = Ec_sat.Outcome.Unknown reason; reason }
-        | _ -> r
-      in
-      let spent = Ec_util.Budget.add spent r.counters in
-      let finish () = { r with counters = spent } in
-      (match r.outcome with
-      | Ec_sat.Outcome.Sat _ | Ec_sat.Outcome.Unsat -> finish ()
-      | Ec_sat.Outcome.Unknown reason ->
-        (* A blown deadline or a cancellation is global: no later stage
-           can do better, so stop instead of burning the tail of the
-           chain on zero-allowance solves. *)
-        if
-          rest = []
-          || reason = Ec_util.Budget.Deadline
-          || reason = Ec_util.Budget.Cancelled
-        then finish ()
-        else go (idx + 1) (Ec_util.Budget.consume remaining r.counters) spent rest)
-  in
-  go 0 budget Ec_util.Budget.zero stages
-
 (* --- parallel portfolio ----------------------------------------------- *)
 
 type racer_report = {
@@ -511,18 +455,10 @@ let default_portfolio ?prefer ~jobs () =
   in
   let rec take n i = function
     | _ when n = 0 -> []
-    | [] -> diversified_cdcl i :: take (n - 1) (i + 1) []
+    | [] -> of_config_exn (Engine_config.diversified_cdcl i) :: take (n - 1) (i + 1) []
     | t :: rest -> t :: take (n - 1) i rest
   in
   take jobs 3 catalog
-
-(* Grow a chain's stages into exactly [jobs] racers; extra slots are
-   filled with diversified CDCL configurations. *)
-let expand_racers ~jobs stages =
-  let rec fill n i = if n = 0 then [] else diversified_cdcl i :: fill (n - 1) (i + 1) in
-  let n = List.length stages in
-  if n >= jobs then List.filteri (fun i _ -> i < jobs) stages
-  else stages @ fill (jobs - n) 1
 
 let solve_portfolio ?recover_dc ?(budget = Ec_util.Budget.unlimited) ?hint racers
     formula =
@@ -545,18 +481,7 @@ let solve_portfolio ?recover_dc ?(budget = Ec_util.Budget.unlimited) ?hint racer
     @@ fun () ->
     Ec_util.Fault.maybe_delay "portfolio.domain";
     Ec_util.Fault.maybe_raise "portfolio.racer";
-    let stage = match hint with None -> stage | Some h -> with_phase_hint stage h in
-    let r = solve_response ?recover_dc ~budget:shared stage formula in
-    (* Same witness cross-examination as the sequential chain: an
-       UNSAT verdict contradicted by a live warm-start witness must
-       not win the race. *)
-    match (r.outcome, hint) with
-    | Ec_sat.Outcome.Unsat, Some w when Certify.refutes_unsat formula ~witness:w ->
-      let reason =
-        Ec_util.Budget.Engine_failure (r.engine, "unsat verdict refuted by known witness")
-      in
-      { r with outcome = Ec_sat.Outcome.Unknown reason; reason }
-    | _ -> r
+    solve_response ?recover_dc ~budget:shared ?hint stage formula
   in
   let race =
     Ec_util.Trace.span ~cat:"portfolio"
@@ -623,10 +548,3 @@ let solve_portfolio ?recover_dc ?(budget = Ec_util.Budget.unlimited) ?hint racer
   in
   if race.Ec_util.Pool.winner <> None then record_win base.engine;
   { response = { base with counters = total }; reports }
-
-let solve_chain ?recover_dc ?budget ?hint ?(jobs = 1) stages formula =
-  if jobs <= 1 then solve_chain_sequential ?recover_dc ?budget ?hint stages formula
-  else
-    let stages = if stages = [] then [ cdcl ] else stages in
-    (solve_portfolio ?recover_dc ?budget ?hint (expand_racers ~jobs stages) formula)
-      .response

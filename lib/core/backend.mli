@@ -19,9 +19,8 @@
     [~recover_dc]).
 
     Every solve goes through the unified control plane
-    ({!Ec_util.Budget}): callers can cap any solve with [?budget],
-    read why it stopped from the {!response}, and chain backends with
-    {!solve_chain} so each stage inherits what its predecessor left. *)
+    ({!Ec_util.Budget}): callers can cap any solve with [?budget] and
+    read why it stopped from the {!response}. *)
 
 type t =
   | Ilp_exact of Ec_ilpsolver.Bnb.options
@@ -72,7 +71,7 @@ val with_phase_hint : t -> Ec_cnf.Assignment.t -> t
 val with_budget : t -> Ec_util.Budget.t -> t
 (** Intersect the backend's own budget with the given one
     ({!Ec_util.Budget.combine}); used by the CLI's [--timeout] /
-    [--conflicts] flags and the chain runner. *)
+    [--conflicts] flags. *)
 
 type response = {
   outcome : Ec_sat.Outcome.t;
@@ -93,17 +92,18 @@ type model_response = {
 }
 
 val solve_response :
-  ?recover_dc:bool -> ?budget:Ec_util.Budget.t -> t -> Ec_cnf.Formula.t -> response
+  ?recover_dc:bool ->
+  ?budget:Ec_util.Budget.t ->
+  ?hint:Ec_cnf.Assignment.t ->
+  t -> Ec_cnf.Formula.t -> response
 (** Satisfiability + model + control-plane report.  [recover_dc]
     (default [true]) runs the DC-recovery pass on models produced by
     total-assignment engines.  [budget] is intersected with the
-    backend's own options budget. *)
-
-val solve :
-  ?recover_dc:bool -> ?budget:Ec_util.Budget.t -> t -> Ec_cnf.Formula.t ->
-  Ec_sat.Outcome.t
-(** {!solve_response}'s outcome alone.  Thin wrapper kept for
-    compatibility; new callers should use {!solve_response}. *)
+    backend's own options budget.  [hint] is a known earlier solution
+    (e.g. the one before an engineering change): it warm-starts the
+    backend ({!with_phase_hint}) and witnesses against a claimed
+    UNSAT — an [Unsat] the hint still satisfies is demoted to
+    [Unknown (Engine_failure _)] ({!Certify.outcome}). *)
 
 val solve_model_response :
   ?budget:Ec_util.Budget.t -> t -> Ec_ilp.Model.t -> model_response
@@ -117,37 +117,6 @@ val solve_model_response :
     backend fall back to branch & bound (under the same budget).
     Optimization is exact under [Ilp_exact]; [Ilp_heuristic] returns
     its best feasible point. *)
-
-val solve_model : ?budget:Ec_util.Budget.t -> t -> Ec_ilp.Model.t -> Ec_ilp.Solution.t
-(** {!solve_model_response}'s solution alone.  Thin wrapper kept for
-    compatibility. *)
-
-val default_chain : t list
-(** Exact branch & bound, then the heuristic, then CDCL — the
-    graceful-degradation ladder the paper's flow implies ("the
-    heuristic solver is used when CPLEX cannot finish"). *)
-
-val solve_chain :
-  ?recover_dc:bool ->
-  ?budget:Ec_util.Budget.t ->
-  ?hint:Ec_cnf.Assignment.t ->
-  ?jobs:int ->
-  t list -> Ec_cnf.Formula.t -> response
-(** Run the stages in order until one returns a definitive outcome.
-    Each stage solves under what remains of [budget] after its
-    predecessors ({!Ec_util.Budget.consume}), so the whole chain
-    honors one end-to-end allowance; a stage stopped by the deadline
-    or a cancellation ends the chain immediately.  [hint] warm-starts
-    every stage that supports it ({!with_phase_hint}).  The returned
-    counters are the chain-wide totals; [engine] names the stage that
-    produced the final outcome.  An empty list means [[cdcl]].
-
-    [jobs] (default 1) switches the chain from falling through to
-    {e racing}: with [jobs > 1] the stages (grown to [jobs] racers
-    with diversified CDCL configurations) run concurrently under
-    {!solve_portfolio} and the first certified answer wins.  [jobs <=
-    1] takes the sequential path above, bit-identical to previous
-    behavior. *)
 
 (** {2 Parallel portfolio}
 
@@ -189,7 +158,8 @@ val solve_portfolio :
   ?hint:Ec_cnf.Assignment.t ->
   t list -> Ec_cnf.Formula.t -> portfolio_response
 (** Race the given engine configurations on [formula], all under
-    [budget] plus one shared cancellation flag.  The first decisive
+    [budget] plus one shared cancellation flag; each racer is a
+    {!solve_response} with the same [hint].  The first decisive
     answer (certified Sat, or an Unsat not refuted by [hint]) wins and
     cancels the rest; a racer that raises is contained and never
     affects the others' race.  If no racer is decisive, the response

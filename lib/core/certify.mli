@@ -2,7 +2,7 @@
 
     The EC premise is that solutions must survive change (§5, §6); a
     corrupted or buggy engine answer propagating through
-    {!Backend.solve_chain} and {!Flow.apply_change_response} would be
+    {!Backend.solve_response} and {!Flow.apply_change_response} would be
     exactly the silent wrong answer the flow exists to prevent.  This
     module re-validates every positive answer with checks that are
     {e independent} of the engine that produced it and O(answer +
@@ -18,7 +18,7 @@
 
     A failed certificate never becomes a wrong answer: callers demote
     it to [Unknown (Engine_failure _)] ({!Ec_util.Budget.reason}) and
-    fall back to the next engine in the chain. *)
+    fall back to another engine or strategy. *)
 
 val check_model : Ec_cnf.Formula.t -> Ec_cnf.Assignment.t -> (unit, string) result
 (** Does the assignment cover the formula's variable range and satisfy

@@ -75,25 +75,14 @@ let apply_change_response ?(strategy = Fast) ?(solver = Backend.cdcl)
   in
   let full_resolve remaining =
     (* Warm-started full solve: the old solution seeds phase saving
-       where the backend supports it. *)
-    let r =
-      Backend.solve_response ~budget:remaining
-        (Backend.with_phase_hint solver reference)
-        new_formula
-    in
-    let outcome, reason =
+       where the backend supports it, and refutes a wrong UNSAT. *)
+    let r = Backend.solve_response ~budget:remaining ~hint:reference solver new_formula in
+    let outcome =
       match r.Backend.outcome with
-      | Ec_sat.Outcome.Sat a -> (Some (a, None), r.Backend.reason)
-      | Ec_sat.Outcome.Unsat when Certify.refutes_unsat new_formula ~witness:reference ->
-        (* The old solution still satisfies the modified formula, so a
-           claimed UNSAT is provably wrong — report the engine, not the
-           verdict. *)
-        ( None,
-          Ec_util.Budget.Engine_failure
-            (r.Backend.engine, "unsat verdict refuted by previous solution") )
-      | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ -> (None, r.Backend.reason)
+      | Ec_sat.Outcome.Sat a -> Some (a, None)
+      | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ -> None
     in
-    (outcome, reason, r.Backend.counters)
+    (outcome, r.Backend.reason, r.Backend.counters)
   in
   (* The paper's Figure 2 decision — fast cone re-solve vs. full
      re-solve — made empirically per instance: both run concurrently
@@ -118,18 +107,9 @@ let apply_change_response ?(strategy = Fast) ?(solver = Backend.cdcl)
     let full_racer stage () =
       Ec_util.Fault.maybe_delay "portfolio.domain";
       Ec_util.Fault.maybe_raise "portfolio.racer";
-      let r =
-        Backend.solve_response ~budget:shared
-          (Backend.with_phase_hint stage reference)
-          new_formula
-      in
+      let r = Backend.solve_response ~budget:shared ~hint:reference stage new_formula in
       match r.Backend.outcome with
       | Ec_sat.Outcome.Sat a -> (`Sat (a, None), r.Backend.reason, r.Backend.counters)
-      | Ec_sat.Outcome.Unsat when Certify.refutes_unsat new_formula ~witness:reference ->
-        ( `Indecisive,
-          Ec_util.Budget.Engine_failure
-            (r.Backend.engine, "unsat verdict refuted by previous solution"),
-          r.Backend.counters )
       | Ec_sat.Outcome.Unsat -> (`Unsat, r.Backend.reason, r.Backend.counters)
       | Ec_sat.Outcome.Unknown reason -> (`Indecisive, reason, r.Backend.counters)
     in
@@ -260,6 +240,3 @@ let apply_change_response ?(strategy = Fast) ?(solver = Backend.cdcl)
           reason ))
   in
   { result; reason; counters }
-
-let apply_change ?strategy ?solver ?budget ?jobs initial script =
-  (apply_change_response ?strategy ?solver ?budget ?jobs initial script).result

@@ -3,8 +3,8 @@
     Original specification → (optionally) enabling EC → solver →
     initial solution; then a change script produces the new
     specification, re-solved by fast EC or preserving EC.  This module
-    is the one-call orchestration used by the examples and the
-    harness; each stage is also available individually in
+    is the one-call orchestration used by the CLI and the examples;
+    each stage is also available individually in
     {!Encode}/{!Enabling}/{!Fast_ec}/{!Preserving}. *)
 
 type initial = {
@@ -82,17 +82,6 @@ val apply_change_response :
     the paper's Figure 2 fast-vs-full decision made empirically per
     instance; [sub_instance_size] is [Some _] iff the fast side won.
     With [Full], the re-solve runs as a {!Backend.solve_portfolio}.
-    [jobs <= 1] is bit-identical to previous sequential behavior;
-    [Preserve] ignores [jobs]. *)
-
-val apply_change :
-  ?strategy:resolve_strategy ->
-  ?solver:Backend.t ->
-  ?budget:Ec_util.Budget.t ->
-  ?jobs:int ->
-  initial ->
-  Ec_cnf.Change.t list ->
-  updated option
-(** {!apply_change_response} without the failure detail: [None] both
-    when the modified instance is unsatisfiable and when the budget
-    ran out before a verdict. *)
+    [jobs <= 1] runs the strategy on the calling domain; [Preserve]
+    ignores [jobs].  Every full re-solve takes the initial solution as
+    its {!Backend.solve_response} [hint]. *)

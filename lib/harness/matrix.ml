@@ -77,19 +77,6 @@ let cell_of_json line =
 
 (* --- the store ---------------------------------------------------- *)
 
-let append ~path cells =
-  match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-  | exception Sys_error e -> Error e
-  | oc ->
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        match
-          List.iter (fun c -> output_string oc (cell_to_json c ^ "\n")) cells
-        with
-        | () -> Ok ()
-        | exception Sys_error e -> Error e)
-
 let load ~path =
   if not (Sys.file_exists path) then Ok []
   else
@@ -109,6 +96,30 @@ let load ~path =
               | Error e -> Error (Printf.sprintf "%s:%d: %s" path n e))
           in
           go 1 [])
+
+(* A cell's identity in the store: re-running the matrix on a commit
+   measures the same (digest, scenario, scale) cells again, and the
+   store keeps only the first. *)
+let key c = (c.commit, c.digest, c.scenario, c.scale)
+
+let append ~path cells =
+  match load ~path with
+  | Error e -> Error e
+  | Ok stored -> (
+    let seen = Hashtbl.create 64 in
+    List.iter (fun c -> Hashtbl.replace seen (key c) ()) stored;
+    let fresh = List.filter (fun c -> not (Hashtbl.mem seen (key c))) cells in
+    match open_out_gen [ Open_append; Open_creat ] 0o644 path with
+    | exception Sys_error e -> Error e
+    | oc ->
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          match
+            List.iter (fun c -> output_string oc (cell_to_json c ^ "\n")) fresh
+          with
+          | () -> Ok (List.length fresh)
+          | exception Sys_error e -> Error e))
 
 (* --- scenarios ---------------------------------------------------- *)
 

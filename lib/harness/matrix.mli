@@ -46,13 +46,17 @@ val cell_of_json : string -> (cell, string) result
 
 (** {2 The store} *)
 
-val append : path:string -> cell list -> (unit, string) result
-(** Append cells to the JSONL store at [path], creating it if absent.
-    [Error] is the system message (unwritable path, full disk). *)
-
 val load : path:string -> (cell list, string) result
 (** All cells in file order (oldest first).  A missing file is
     [Ok []]; a malformed line is [Error] naming the line number. *)
+
+val append : path:string -> cell list -> (int, string) result
+(** Append cells to the JSONL store at [path], creating it if absent,
+    and return how many were written.  A cell whose (commit, digest,
+    scenario, scale) key the store already holds is skipped, so
+    re-running the matrix on a commit stores its cells once.  [Error] is the system
+    message (unreadable or malformed store, unwritable path, full
+    disk). *)
 
 (** {2 Scenarios} *)
 

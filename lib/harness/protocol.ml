@@ -53,17 +53,16 @@ let is_heuristic_tier (inst : Ec_instances.Registry.instance) =
   inst.spec.tier = Ec_instances.Registry.Heuristic
 
 (* Batch parallelism: table rows are independent, so instances fan out
-   over a domain pool when the config asks for more than one job.  At
-   [jobs <= 1] this is a plain in-order [List.map] on the calling
-   domain — bit-identical to the historical sequential harness.
-   Results preserve input order either way. *)
+   over a domain pool when the config asks for more than one job; at
+   [jobs <= 1] they run in order on the calling domain.  Results
+   preserve input order either way. *)
 let map_instances config f xs =
   if config.jobs <= 1 then List.map f xs
   else Ec_util.Pool.with_pool config.jobs (fun pool -> Ec_util.Pool.map_list pool f xs)
 
-(* Deterministic per-instance RNG stream for parallel table runs:
-   derived from the config seed and the instance's position, so a
-   parallel run is reproducible regardless of completion order. *)
+(* Deterministic per-instance RNG stream: derived from the config seed
+   and the instance's position, so a table's change scripts do not
+   depend on [jobs] or on completion order. *)
 let instance_seed config idx = config.seed lxor (0x9E3779B9 * (idx + 1))
 
 (* --- observability ------------------------------------------------ *)
@@ -121,27 +120,19 @@ let initial_solve config (inst : Ec_instances.Registry.instance) =
          min-conflicts heuristic cannot navigate the flexibility rows
          (see EXPERIMENTS.md). *)
       decode_timed inst.formula enc (fun () ->
-          fst (Ec_ilpsolver.Bnb.solve_decision ~options:(bnb_options config) model))
+          (Ec_ilpsolver.Bnb.solve_decision_response ~options:(bnb_options config) model)
+            .Ec_ilpsolver.Bnb.solution)
     else if is_heuristic_tier inst then
       decode_timed inst.formula enc (fun () ->
-          fst (Ec_ilpsolver.Heuristic.solve ~options:(heuristic_options config) model))
+          (Ec_ilpsolver.Heuristic.solve_response ~options:(heuristic_options config) model)
+            .Ec_ilpsolver.Heuristic.solution)
     else
       decode_timed inst.formula enc (fun () ->
-          fst (Ec_ilpsolver.Bnb.solve ~options:(bnb_options config) model))
+          (Ec_ilpsolver.Bnb.solve_response ~options:(bnb_options config) model)
+            .Ec_ilpsolver.Bnb.solution)
   in
   (* Note: no DC-recovery pass here.  Releasing variables concentrates
      each clause's satisfaction in fewer variables, which inflates the
      fast-EC cone; §6 prescribes DC recovery after loosening changes,
      not on the initial solution. *)
   result
-
-let exact_resolve config formula =
-  Ec_util.Trace.span ~cat:"table" "protocol.exact_resolve"
-  @@ fun () ->
-  let enc = Ec_core.Encode.of_formula formula in
-  let model = Ec_core.Encode.model enc in
-  (* Decision mode, like the initial solves: the re-solve question is
-     "find a valid completion", and optimization-mode caps would
-     otherwise dominate the occasional hard cone. *)
-  decode_timed formula enc (fun () ->
-      fst (Ec_ilpsolver.Bnb.solve_decision ~options:(bnb_options config) model))

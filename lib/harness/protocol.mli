@@ -34,12 +34,10 @@ type config = {
           stage).  Off = plain solve; the bench ablates the two. *)
   jobs : int;
       (** batch parallelism: instances fan out over a domain pool of
-          this size ({!Ec_util.Pool}).  [1] (the default) runs the
-          historical sequential path bit-identically; [> 1] switches
-          the tables to deterministic per-instance RNG streams
-          ({!instance_seed}), so a parallel run is reproducible but
-          draws different random change scripts than a sequential
-          one. *)
+          this size ({!Ec_util.Pool}); [1] (the default) runs them in
+          order on the calling domain.  Every instance draws its change
+          scripts from its own stream ({!instance_seed}), so the tables
+          are the same at every [jobs]. *)
   preserving : preserving_choice;
       (** engine for Table 3's preserving re-solves (default
           [Tiered]) *)
@@ -77,8 +75,8 @@ val map_instances : config -> ('a -> 'b) -> 'a list -> 'b list
     [config.jobs]-wide domain pool otherwise. *)
 
 val instance_seed : config -> int -> int
-(** Deterministic RNG seed for the instance at the given position in a
-    parallel table run; independent of completion order. *)
+(** Deterministic RNG seed for the instance at the given position in
+    the suite; independent of [jobs] and of completion order. *)
 
 val with_instance_span : instance:string -> stage:string -> (unit -> 'a) -> 'a
 (** Wrap one instance's whole table workload in a ["table.instance"]
@@ -112,8 +110,3 @@ val initial_solve :
     decoded solution is DC-recovered, so the change experiments start
     from the Figure-1 "EC solution".  [None] if the solve failed within
     limits. *)
-
-val exact_resolve : config -> Ec_cnf.Formula.t -> timed_solve option
-(** The "off-the-shelf re-solve" used on modified instances and
-    fast-EC cones: branch & bound in decision mode, regardless of
-    tier. *)

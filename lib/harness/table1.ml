@@ -23,7 +23,9 @@ let run_exact config (inst : Ec_instances.Registry.instance) =
   let options =
     { (Protocol.bnb_options config) with greedy_completion = false }
   in
-  let solve model = fst (Ec_ilpsolver.Bnb.solve ~options model) in
+  let solve model =
+    (Ec_ilpsolver.Bnb.solve_response ~options model).Ec_ilpsolver.Bnb.solution
+  in
   let enc0 = Ec_core.Encode.of_formula inst.formula in
   let s0, t0 = Ec_util.Stopwatch.time (fun () -> solve (Ec_core.Encode.model enc0)) in
   let enc_sc = Ec_core.Encode.of_formula inst.formula in
@@ -58,7 +60,8 @@ let run_heuristic config (inst : Ec_instances.Registry.instance) =
   let enc0 = Ec_core.Encode.of_formula inst.formula in
   let s0, t0 =
     Ec_util.Stopwatch.time (fun () ->
-        fst (Ec_ilpsolver.Heuristic.solve ~options:h_options (Ec_core.Encode.model enc0)))
+        (Ec_ilpsolver.Heuristic.solve_response ~options:h_options (Ec_core.Encode.model enc0))
+          .Ec_ilpsolver.Heuristic.solution)
   in
   let bnb = Protocol.bnb_options config in
   (* The SC/OF columns run on the exact engine, so normalize them by a
@@ -67,13 +70,15 @@ let run_heuristic config (inst : Ec_instances.Registry.instance) =
   let enc_base = Ec_core.Encode.of_formula inst.formula in
   let _, t_base =
     Ec_util.Stopwatch.time (fun () ->
-        fst (Ec_ilpsolver.Bnb.solve_decision ~options:bnb (Ec_core.Encode.model enc_base)))
+        (Ec_ilpsolver.Bnb.solve_decision_response ~options:bnb (Ec_core.Encode.model enc_base))
+          .Ec_ilpsolver.Bnb.solution)
   in
   let enc_sc = Ec_core.Encode.of_formula inst.formula in
   ignore (Ec_core.Enabling.add Ec_core.Enabling.Constraints enc_sc);
   let s1, t1 =
     Ec_util.Stopwatch.time (fun () ->
-        fst (Ec_ilpsolver.Bnb.solve_decision ~options:bnb (Ec_core.Encode.model enc_sc)))
+        (Ec_ilpsolver.Bnb.solve_decision_response ~options:bnb (Ec_core.Encode.model enc_sc))
+          .Ec_ilpsolver.Bnb.solution)
   in
   let sc_verified =
     match Ec_core.Encode.decode enc_sc s1 with
@@ -84,7 +89,8 @@ let run_heuristic config (inst : Ec_instances.Registry.instance) =
   ignore (Ec_core.Enabling.add (Ec_core.Enabling.Objective 1.0) enc_of);
   let s2, t2 =
     Ec_util.Stopwatch.time (fun () ->
-        fst (Ec_ilpsolver.Bnb.solve ~options:bnb (Ec_core.Encode.model enc_of)))
+        (Ec_ilpsolver.Bnb.solve_response ~options:bnb (Ec_core.Encode.model enc_of))
+          .Ec_ilpsolver.Bnb.solution)
   in
   let status_sol (s : Ec_ilp.Solution.t) = Ec_ilp.Solution.status_to_string s.status in
   { name = inst.spec.name;

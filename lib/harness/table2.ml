@@ -23,6 +23,11 @@ let run_instance config rng (inst : Ec_instances.Registry.instance) =
     (* An uncertified "solution" is an unsolved instance, not data. *)
     None
   | Some { Protocol.assignment = a0; time_s = orig_s; certified = _ } ->
+    (* Re-solves use the exact engine in decision mode on both tiers
+       (the paper's "off-the-shelf solver"): first the Figure-2 cone,
+       then, when the cone yields no certified solution, the whole
+       modified instance. *)
+    let backend = Ec_core.Backend.Ilp_exact (Protocol.bnb_options config) in
     let sub_vars = ref [] and sub_clauses = ref [] and times = ref [] in
     let fallbacks = ref 0 in
     for _ = 1 to config.trials do
@@ -34,12 +39,15 @@ let run_instance config rng (inst : Ec_instances.Registry.instance) =
       let (), elapsed =
         Ec_util.Stopwatch.time (fun () ->
             let r =
-              Fast_resolver.resolve config f'
+              Ec_core.Fast_ec.resolve ~backend f'
                 (Ec_cnf.Assignment.extend a0 (Ec_cnf.Formula.num_vars f'))
             in
-            sub_vars := float_of_int r.Fast_resolver.sub_vars :: !sub_vars;
-            sub_clauses := float_of_int r.Fast_resolver.sub_clauses :: !sub_clauses;
-            if r.Fast_resolver.fell_back then incr fallbacks)
+            sub_vars := float_of_int r.Ec_core.Fast_ec.sub_vars_count :: !sub_vars;
+            sub_clauses := float_of_int r.Ec_core.Fast_ec.sub_clauses_count :: !sub_clauses;
+            if r.Ec_core.Fast_ec.solution = None then begin
+              incr fallbacks;
+              ignore (Ec_core.Backend.solve_response backend f')
+            end)
       in
       times := elapsed :: !times
     done;
@@ -56,33 +64,16 @@ let run_instance config rng (inst : Ec_instances.Registry.instance) =
         fallbacks = !fallbacks }
 
 let run ?(progress = fun _ -> ()) config =
-  let instances = Protocol.instances config in
   let results =
-    if config.Protocol.jobs <= 1 then
-      (* Sequential path: one RNG threaded across instances in suite
-         order, bit-identical to the historical harness. *)
-      let rng = Ec_util.Rng.create config.Protocol.seed in
-      List.map
-        (fun inst ->
-          progress ("table2: " ^ inst.Ec_instances.Registry.spec.name);
-          ( inst,
-            Protocol.with_instance_span
-              ~instance:inst.Ec_instances.Registry.spec.name ~stage:"table2"
-              (fun () -> run_instance config rng inst) ))
-        instances
-    else
-      (* Parallel path: each instance draws its change scripts from its
-         own deterministic stream, so results do not depend on domain
-         scheduling. *)
-      Protocol.map_instances config
-        (fun (idx, inst) ->
-          progress ("table2: " ^ inst.Ec_instances.Registry.spec.name);
-          let rng = Ec_util.Rng.create (Protocol.instance_seed config idx) in
-          ( inst,
-            Protocol.with_instance_span
-              ~instance:inst.Ec_instances.Registry.spec.name ~stage:"table2"
-              (fun () -> run_instance config rng inst) ))
-        (List.mapi (fun i inst -> (i, inst)) instances)
+    Protocol.map_instances config
+      (fun (idx, inst) ->
+        progress ("table2: " ^ inst.Ec_instances.Registry.spec.name);
+        let rng = Ec_util.Rng.create (Protocol.instance_seed config idx) in
+        ( inst,
+          Protocol.with_instance_span
+            ~instance:inst.Ec_instances.Registry.spec.name ~stage:"table2"
+            (fun () -> run_instance config rng inst) ))
+      (List.mapi (fun i inst -> (i, inst)) (Protocol.instances config))
   in
   let exact_rows = ref [] and heuristic_rows = ref [] in
   List.iter

@@ -24,8 +24,8 @@ let preserving_engine config (inst : Ec_instances.Registry.instance) =
 let baseline_resolve config tie_seed f' =
   let options = { (Protocol.bnb_options config) with tie_seed = Some tie_seed } in
   let enc = Ec_core.Encode.of_formula f' in
-  let solution, _ = Ec_ilpsolver.Bnb.solve ~options (Ec_core.Encode.model enc) in
-  Ec_core.Encode.decode enc solution
+  let r = Ec_ilpsolver.Bnb.solve_response ~options (Ec_core.Encode.model enc) in
+  Ec_core.Encode.decode enc r.Ec_ilpsolver.Bnb.solution
 
 let run_instance config rng (inst : Ec_instances.Registry.instance) =
   match Protocol.initial_solve config inst with
@@ -46,7 +46,7 @@ let run_instance config rng (inst : Ec_instances.Registry.instance) =
             budget = Ec_util.Budget.create ~conflicts:200_000 ()
           }
         in
-        match Ec_sat.Cdcl.solve_formula ~options f with
+        match (Ec_sat.Cdcl.solve_response ~options f).Ec_sat.Cdcl.outcome with
         | Ec_sat.Outcome.Sat _ -> true
         | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ -> false
       in
@@ -81,29 +81,16 @@ let run_instance config rng (inst : Ec_instances.Registry.instance) =
           ec_optimal = !ec_optimal }
 
 let run ?(progress = fun _ -> ()) config =
-  let instances = Protocol.instances config in
   let rows =
-    if config.Protocol.jobs <= 1 then
-      (* Sequential path: one RNG threaded across instances in suite
-         order, bit-identical to the historical harness. *)
-      let rng = Ec_util.Rng.create (config.Protocol.seed + 3) in
-      List.filter_map
-        (fun inst ->
-          progress ("table3: " ^ inst.Ec_instances.Registry.spec.name);
-          Protocol.with_instance_span
-            ~instance:inst.Ec_instances.Registry.spec.name ~stage:"table3"
-            (fun () -> run_instance config rng inst))
-        instances
-    else
-      Protocol.map_instances config
-        (fun (idx, inst) ->
-          progress ("table3: " ^ inst.Ec_instances.Registry.spec.name);
-          let rng = Ec_util.Rng.create (Protocol.instance_seed config idx + 3) in
-          Protocol.with_instance_span
-            ~instance:inst.Ec_instances.Registry.spec.name ~stage:"table3"
-            (fun () -> run_instance config rng inst))
-        (List.mapi (fun i inst -> (i, inst)) instances)
-      |> List.filter_map Fun.id
+    Protocol.map_instances config
+      (fun (idx, inst) ->
+        progress ("table3: " ^ inst.Ec_instances.Registry.spec.name);
+        let rng = Ec_util.Rng.create (Protocol.instance_seed config idx + 3) in
+        Protocol.with_instance_span
+          ~instance:inst.Ec_instances.Registry.spec.name ~stage:"table3"
+          (fun () -> run_instance config rng inst))
+      (List.mapi (fun i inst -> (i, inst)) (Protocol.instances config))
+    |> List.filter_map Fun.id
   in
   { rows }
 

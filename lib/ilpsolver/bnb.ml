@@ -457,11 +457,3 @@ let run ?(options = default_options) ~stop_at_first model =
 let solve_response ?options model = run ?options ~stop_at_first:false model
 
 let solve_decision_response ?options model = run ?options ~stop_at_first:true model
-
-let solve ?options model =
-  let r = solve_response ?options model in
-  (r.solution, r.stats)
-
-let solve_decision ?options model =
-  let r = solve_decision_response ?options model in
-  (r.solution, r.stats)

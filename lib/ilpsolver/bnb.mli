@@ -76,12 +76,6 @@ val solve_decision_response : ?options:options -> Ec_ilp.Model.t -> response
     ordering).  This is the mode used when the encoded question is
     satisfiability. *)
 
-val solve : ?options:options -> Ec_ilp.Model.t -> Ec_ilp.Solution.t * stats
-(** {!solve_response} without the control-plane fields. *)
-
-val solve_decision : ?options:options -> Ec_ilp.Model.t -> Ec_ilp.Solution.t * stats
-(** {!solve_decision_response} without the control-plane fields. *)
-
 (** {2 Chaos-test failpoint payloads}
 
     Shared by the [bnb.answer] and [heuristic.answer] failpoints

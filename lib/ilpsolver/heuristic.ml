@@ -251,7 +251,3 @@ let solve_response ?(options = default_options) model =
         spent_restarts = !restarts_done;
         spent_iterations = !total_flips;
         spent_wall_s = Ec_util.Budget.elapsed_s gauge } }
-
-let solve ?options model =
-  let r = solve_response ?options model in
-  (r.solution, r.stats)

@@ -59,6 +59,3 @@ type response = {
 
 val solve_response : ?options:options -> Ec_ilp.Model.t -> response
 (** @raise Invalid_argument if the model has continuous variables. *)
-
-val solve : ?options:options -> Ec_ilp.Model.t -> Ec_ilp.Solution.t * stats
-(** {!solve_response} without the control-plane fields. *)

@@ -602,12 +602,6 @@ let solve_response ?(options = default_options) ?(assumptions = []) formula =
     stats = stats_of s;
     counters = counters_of s ~wall_s:(Ec_util.Budget.elapsed_s gauge) }
 
-let solve ?options ?assumptions formula =
-  let r = solve_response ?options ?assumptions formula in
-  (r.outcome, r.stats)
-
-let solve_formula ?options formula = fst (solve ?options formula)
-
 (* ---- incremental sessions ---- *)
 
 module Session = struct

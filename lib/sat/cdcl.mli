@@ -59,16 +59,6 @@ val solve_response :
     under assumptions means no model extends them (the formula itself
     may be satisfiable). *)
 
-val solve :
-  ?options:options -> ?assumptions:Ec_cnf.Lit.t list -> Ec_cnf.Formula.t ->
-  Outcome.t * stats
-(** {!solve_response} without the control-plane fields.  Thin wrapper
-    kept for compatibility. *)
-
-val solve_formula :
-  ?options:options -> Ec_cnf.Formula.t -> Outcome.t
-(** {!solve} without assumptions, discarding statistics. *)
-
 (** Incremental sessions: keep learnt clauses, activities and phases
     across clause additions — engineering change at the solver level.
     {!Incremental} is the public face; this module lives here because

@@ -134,5 +134,3 @@ let solve_response ?(options = default_options) formula =
       { Ec_util.Budget.zero with
         spent_nodes = !nodes;
         spent_wall_s = Ec_util.Budget.elapsed_s gauge } }
-
-let solve ?options formula = (solve_response ?options formula).outcome

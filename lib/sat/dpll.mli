@@ -25,8 +25,5 @@ type response = {
 }
 
 val solve_response : ?options:options -> Ec_cnf.Formula.t -> response
-
-val solve : ?options:options -> Ec_cnf.Formula.t -> Outcome.t
-(** {!solve_response} without the control-plane fields.  Total
-    assignments for variables the search touched; variables never
-    constrained come back as DC. *)
+(** A [Sat] model is total over the variables the search touched;
+    variables never constrained come back as DC. *)

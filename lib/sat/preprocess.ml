@@ -357,6 +357,6 @@ let solve_with_preprocessing ?options formula =
   match simplify formula with
   | `Unsat -> Outcome.Unsat
   | `Simplified r -> (
-    match Cdcl.solve_formula ?options r.formula with
+    match (Cdcl.solve_response ?options r.formula).Cdcl.outcome with
     | Outcome.Sat a -> Outcome.Sat (reconstruct r a)
     | (Outcome.Unsat | Outcome.Unknown _) as o -> o)

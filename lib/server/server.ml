@@ -1,4 +1,5 @@
 module Budget = Ec_util.Budget
+module Json = Ec_util.Json
 module Fault = Ec_util.Fault
 module Metrics = Ec_util.Metrics
 module Trace = Ec_util.Trace

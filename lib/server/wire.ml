@@ -1,3 +1,5 @@
+module Json = Ec_util.Json
+
 type op =
   | Create_session of {
       dimacs : string option;

@@ -31,7 +31,7 @@ type op =
   | Shutdown
 
 type request = {
-  req_id : Json.t;              (** echoed verbatim; [Null] if absent *)
+  req_id : Ec_util.Json.t;              (** echoed verbatim; [Null] if absent *)
   req_session : string option;
   req_op : op;
 }
@@ -43,7 +43,7 @@ val op_name : op -> string
     an [id]/[session], they ride along so the client can correlate the
     error response; a document-level failure leaves them [Null]/absent. *)
 type reject = {
-  rej_id : Json.t;
+  rej_id : Ec_util.Json.t;
   rej_session : string option;
   rej_msg : string;
 }
@@ -56,22 +56,22 @@ val parse_request : string -> (request, reject) result
 (** {2 Responses} — every constructor renders one JSON line.  Field
     order is fixed, so identical answers are byte-identical. *)
 
-val ok : ?session:string -> id:Json.t -> (string * Json.t) list -> string
+val ok : ?session:string -> id:Ec_util.Json.t -> (string * Ec_util.Json.t) list -> string
 (** [{"id":...,"session":...,"status":"ok",<extra fields>}] — the
     generic success answer (create/add/remove/pin/close/health). *)
 
-val error : ?session:string -> id:Json.t -> string -> string
+val error : ?session:string -> id:Ec_util.Json.t -> string -> string
 (** ["status":"error"] with the reason — rejects and per-request
     failures; the connection stays up. *)
 
 val overloaded :
-  ?session:string -> id:Json.t -> retry_after_ms:int -> unit -> string
+  ?session:string -> id:Ec_util.Json.t -> retry_after_ms:int -> unit -> string
 (** ["status":"overloaded"] — backpressure shed at enqueue time, with
     the deterministic retry hint. *)
 
 val sat :
   ?session:string ->
-  id:Json.t ->
+  id:Ec_util.Json.t ->
   model:Ec_cnf.Assignment.t ->
   certified:bool ->
   degraded:bool ->
@@ -81,10 +81,10 @@ val sat :
 (** The model is rendered as signed DIMACS literals of the assigned
     variables, ascending; don't-cares are omitted. *)
 
-val unsat : ?session:string -> id:Json.t -> degraded:bool -> unit -> string
+val unsat : ?session:string -> id:Ec_util.Json.t -> degraded:bool -> unit -> string
 (** ["status":"unsat"] (under the session's pins, if any). *)
 
 val unknown :
-  ?session:string -> id:Json.t -> reason:string -> degraded:bool -> unit -> string
+  ?session:string -> id:Ec_util.Json.t -> reason:string -> degraded:bool -> unit -> string
 (** ["status":"unknown"] with the structured stop reason (deadline,
     budget, engine-failure containment). *)

@@ -162,11 +162,11 @@ let assignment_eq a b =
 
 let test_generous_budget_bit_for_bit () =
   let generous = Bu.create ~conflicts:10_000_000 ~nodes:10_000_000 () in
-  let plain = Ec_sat.Cdcl.solve_formula searchy in
+  let plain = (Ec_sat.Cdcl.solve_response searchy).outcome in
   let budgeted =
-    Ec_sat.Cdcl.solve_formula
+    (Ec_sat.Cdcl.solve_response
       ~options:{ Ec_sat.Cdcl.default_options with budget = generous }
-      searchy
+      searchy).outcome
   in
   (match (plain, budgeted) with
   | O.Sat a, O.Sat b ->
@@ -181,7 +181,7 @@ let test_generous_budget_bit_for_bit () =
   check Alcotest.string "php4 still unsat" "unsat" (O.to_string r.Ec_sat.Cdcl.outcome);
   check reason "completed" Bu.Completed r.Ec_sat.Cdcl.reason
 
-(* ---- backend responses and the fallback chain ---- *)
+(* ---- backend responses ---- *)
 
 let test_backend_response () =
   let r = Ec_core.Backend.solve_response Ec_core.Backend.cdcl searchy in
@@ -193,51 +193,6 @@ let test_backend_response () =
       Ec_core.Backend.cdcl (php 6)
   in
   check reason "budget via ?budget" Bu.Conflict_budget r.Ec_core.Backend.reason
-
-let test_chain_falls_through () =
-  (* Stage 1 (B&B) exhausts its node budget; CDCL inherits the
-     remainder and still finds the answer on a conflict-free formula
-     (node budget constrains decisions, and searchy is easy for CDCL
-     but all stages share the nodes=2 pool, so give the last stage its
-     own dimension to succeed on). *)
-  let chain =
-    [ Ec_core.Backend.ilp_exact; Ec_core.Backend.cdcl ]
-  in
-  let r =
-    Ec_core.Backend.solve_chain ~budget:(Bu.create ~nodes:0 ()) chain searchy
-  in
-  (* Both stages are node-limited: the chain ends Unknown on the last
-     stage, with the chain-wide reason from that stage. *)
-  check Alcotest.string "last engine answered" "cdcl" r.Ec_core.Backend.engine;
-  check reason "node budget" Bu.Node_budget r.Ec_core.Backend.reason;
-  (* With a per-dimension budget only the first stage trips on, the
-     second stage completes. *)
-  let r =
-    Ec_core.Backend.solve_chain
-      ~budget:(Bu.create ~nodes:1_000_000 ())
-      [ Ec_core.Backend.ilp_heuristic; Ec_core.Backend.cdcl ]
-      (php 4)
-  in
-  (* the heuristic cannot prove unsat (Unknown Completed); CDCL can *)
-  check Alcotest.string "unsat proved by fallback" "unsat"
-    (O.to_string r.Ec_core.Backend.outcome);
-  check Alcotest.string "cdcl answered" "cdcl" r.Ec_core.Backend.engine
-
-let test_chain_deadline_is_terminal () =
-  let r =
-    Ec_core.Backend.solve_chain ~budget:(Bu.of_time 0.0)
-      Ec_core.Backend.default_chain searchy
-  in
-  (* a blown deadline must not be retried by later stages *)
-  check reason "deadline" Bu.Deadline r.Ec_core.Backend.reason;
-  check Alcotest.string "first stage reported" "ilp-bnb" r.Ec_core.Backend.engine
-
-let test_chain_cancelled_is_terminal () =
-  let b, flag = Bu.with_cancel Bu.unlimited in
-  Atomic.set flag true;
-  let r = Ec_core.Backend.solve_chain ~budget:b Ec_core.Backend.default_chain searchy in
-  check reason "cancelled" Bu.Cancelled r.Ec_core.Backend.reason;
-  check Alcotest.string "first stage reported" "ilp-bnb" r.Ec_core.Backend.engine
 
 (* ---- the flow: fast EC -> full re-solve under one allowance ---- *)
 
@@ -262,7 +217,11 @@ let test_flow_budget_fallback () =
     ]
   in
   (* Generous budget: the change is resolved and the spend is reported. *)
-  (match Ec_core.Flow.apply_change ~budget:(Bu.create ~conflicts:100_000 ()) init script with
+  (match
+     (Ec_core.Flow.apply_change_response ~budget:(Bu.create ~conflicts:100_000 ()) init
+        script)
+       .Ec_core.Flow.result
+   with
   | Some u ->
     check Alcotest.bool "resolved" true
       (A.satisfies u.Ec_core.Flow.new_assignment u.Ec_core.Flow.new_formula);
@@ -271,7 +230,10 @@ let test_flow_budget_fallback () =
   (* Exhausted deadline: the cone solve stops on Deadline, the fallback
      full solve inherits a zero remainder and stops at its first check
      — the flow reports failure instead of hanging. *)
-  match Ec_core.Flow.apply_change ~budget:(Bu.of_time 0.0) init script with
+  match
+    (Ec_core.Flow.apply_change_response ~budget:(Bu.of_time 0.0) init script)
+      .Ec_core.Flow.result
+  with
   | None -> ()
   | Some u ->
     (* only acceptable if the cone was already satisfied without solving *)
@@ -292,9 +254,5 @@ let tests =
           test_generous_budget_bit_for_bit ] );
     ( "budget.chain",
       [ Alcotest.test_case "backend response" `Quick test_backend_response;
-        Alcotest.test_case "fallback inherits remainder" `Quick test_chain_falls_through;
-        Alcotest.test_case "deadline ends the chain" `Quick test_chain_deadline_is_terminal;
-        Alcotest.test_case "cancellation ends the chain" `Quick
-          test_chain_cancelled_is_terminal;
         Alcotest.test_case "flow fast->full under one budget" `Quick
           test_flow_budget_fallback ] ) ]

@@ -325,7 +325,7 @@ let test_preserving_script_constructive () =
     F.of_lists ~num_vars:10
       (List.init 20 (fun i -> [ 1 + (i mod 8); -(2 + (i mod 7)); 1 + ((i + 3) mod 10) ]))
   in
-  match Ec_sat.Cdcl.solve_formula f with
+  match (Ec_sat.Cdcl.solve_response f).outcome with
   | Ec_sat.Outcome.Sat reference ->
     let script =
       Ec_cnf.Change.preserving_ec_script rng f ~reference ~add_vars:2 ~del_vars:2
@@ -334,16 +334,16 @@ let test_preserving_script_constructive () =
     let f' = Ec_cnf.Change.apply_script f script in
     (* constructive mode keeps the instance satisfiable *)
     check Alcotest.bool "still satisfiable" true
-      (Ec_sat.Outcome.is_sat (Ec_sat.Cdcl.solve_formula f'))
+      (Ec_sat.Outcome.is_sat (Ec_sat.Cdcl.solve_response f').outcome)
   | _ -> Alcotest.fail "base formula should be satisfiable"
 
 let prop_preserving_script_checked =
   QCheck.Test.make ~name:"checked preserving script keeps satisfiability" ~count:25
     arbitrary_formula (fun f ->
-      match Ec_sat.Cdcl.solve_formula f with
+      match (Ec_sat.Cdcl.solve_response f).outcome with
       | Ec_sat.Outcome.Sat reference ->
         let rng = Ec_util.Rng.create 77 in
-        let satisfiable g = Ec_sat.Outcome.is_sat (Ec_sat.Cdcl.solve_formula g) in
+        let satisfiable g = Ec_sat.Outcome.is_sat (Ec_sat.Cdcl.solve_response g).outcome in
         let script =
           Ec_cnf.Change.preserving_ec_script ~satisfiable rng f ~reference ~add_vars:1
             ~del_vars:1 ~add_clauses:2 ~del_clauses:1 ~clause_width:2

@@ -18,7 +18,7 @@ let test_simple_rows () =
   M.add_constr m (E.of_terms [ (1.0, x); (1.0, y); (1.0, z) ]) M.Ge 2.0;
   M.add_constr m (E.of_terms [ (1.0, x); (1.0, y) ]) M.Le 1.0;
   let cnf = C.of_model m in
-  (match Ec_sat.Cdcl.solve_formula cnf.C.formula with
+  (match (Ec_sat.Cdcl.solve_response cnf.C.formula).outcome with
   | Ec_sat.Outcome.Sat a ->
     let p = C.point_of_assignment cnf a in
     check Alcotest.bool "point feasible" true (Ec_ilp.Validate.is_feasible m p);
@@ -31,7 +31,7 @@ let test_infeasible_row () =
   M.add_constr m (E.of_terms [ (1.0, x) ]) M.Ge 2.0;
   let cnf = C.of_model m in
   check Alcotest.string "trivially unsat" "unsat"
-    (Ec_sat.Outcome.to_string (Ec_sat.Cdcl.solve_formula cnf.C.formula))
+    (Ec_sat.Outcome.to_string (Ec_sat.Cdcl.solve_response cnf.C.formula).outcome)
 
 let test_unsupported () =
   let m = M.create () in
@@ -49,7 +49,7 @@ let test_negative_coefficients () =
   (* x - y <= -1  <=>  x=0, y=1 *)
   M.add_constr m (E.of_terms [ (1.0, x); (-1.0, y) ]) M.Le (-1.0);
   let cnf = C.of_model m in
-  match Ec_sat.Cdcl.solve_formula cnf.C.formula with
+  match (Ec_sat.Cdcl.solve_response cnf.C.formula).outcome with
   | Ec_sat.Outcome.Sat a ->
     let p = C.point_of_assignment cnf a in
     check (Alcotest.float 1e-9) "x" 0.0 p.(x);
@@ -89,9 +89,11 @@ let prop_cnfize_equisatisfiable =
           in
           if terms <> [] then M.add_constr m (E.of_terms terms) rel rhs)
         rows;
-      let bnb, _ = Ec_ilpsolver.Bnb.solve_decision m in
+      let bnb = (Ec_ilpsolver.Bnb.solve_decision_response m).solution in
       let cnf = C.of_model m in
-      match (Ec_sat.Cdcl.solve_formula cnf.C.formula, Ec_ilp.Solution.has_point bnb) with
+      match
+        ((Ec_sat.Cdcl.solve_response cnf.C.formula).outcome, Ec_ilp.Solution.has_point bnb)
+      with
       | Ec_sat.Outcome.Sat a, true ->
         Ec_ilp.Validate.is_feasible m (C.point_of_assignment cnf a)
       | Ec_sat.Outcome.Unsat, false -> true
@@ -107,7 +109,7 @@ let test_enabling_model_via_cdcl () =
   ignore (Ec_core.Enabling.add Ec_core.Enabling.Constraints enc);
   let model = Ec_core.Encode.model enc in
   check Alcotest.bool "enabling model is clause-like" true (C.supported model);
-  let solution = Ec_core.Backend.solve_model Ec_core.Backend.cdcl model in
+  let solution = (Ec_core.Backend.solve_model_response Ec_core.Backend.cdcl model).solution in
   check Alcotest.bool "solved" true (Ec_ilp.Solution.has_point solution);
   match Ec_core.Encode.decode enc solution with
   | Some a ->
@@ -117,12 +119,12 @@ let test_enabling_model_via_cdcl () =
 
 let test_preserving_model_unsupported_is_handled () =
   (* the cnfize fragment covers our models; a synthetic general row
-     must route to the B&B fallback inside Backend.solve_model *)
+     must route to the B&B fallback inside Backend.solve_model_response *)
   let m = M.create () in
   let x = M.add_var m M.Binary in
   M.add_constr m (E.of_terms [ (3.0, x) ]) M.Le 2.0;
   M.set_objective m M.Minimize (E.var x);
-  let s = Ec_core.Backend.solve_model Ec_core.Backend.cdcl m in
+  let s = (Ec_core.Backend.solve_model_response Ec_core.Backend.cdcl m).solution in
   check Alcotest.bool "fallback solved it" true (Ec_ilp.Solution.has_point s);
   check (Alcotest.float 1e-9) "x forced to 0" 0.0 (Ec_ilp.Solution.value s x)
 

@@ -66,10 +66,10 @@ let test_encoding_solves_triangle () =
   let g = G.create ~num_nodes:3 [ (1, 2); (2, 3); (1, 3) ] in
   (* triangle is 3-chromatic: infeasible with 2 colors, feasible with 3 *)
   let e2 = E.make g ~colors:2 in
-  let s2, _ = Ec_ilpsolver.Bnb.solve_decision (E.model e2) in
+  let s2 = (Ec_ilpsolver.Bnb.solve_decision_response (E.model e2)).solution in
   check Alcotest.bool "2 colors infeasible" false (Ec_ilp.Solution.has_point s2);
   let e3 = E.make g ~colors:3 in
-  let s3, _ = Ec_ilpsolver.Bnb.solve_decision (E.model e3) in
+  let s3 = (Ec_ilpsolver.Bnb.solve_decision_response (E.model e3)).solution in
   (match E.decode e3 s3 with
   | Some c -> check Alcotest.bool "3-coloring proper" true (G.proper g c)
   | None -> Alcotest.fail "triangle is 3-colorable")
@@ -98,7 +98,7 @@ let prop_encoding_matches_greedy_feasibility =
       let greedy = G.greedy_coloring g in
       let k = Array.fold_left max 0 greedy in
       let e = E.make g ~colors:(max k 1) in
-      let s, _ = Ec_ilpsolver.Bnb.solve_decision (E.model e) in
+      let s = (Ec_ilpsolver.Bnb.solve_decision_response (E.model e)).solution in
       match E.decode e s with
       | Some c -> G.proper g c
       | None -> false)
@@ -110,7 +110,7 @@ let test_enabling_constraints () =
   let g, _ = G.random_planted rng ~num_nodes:15 ~colors:5 ~edges:25 in
   let e = E.make g ~colors:5 in
   Ops.add_enabling e;
-  let s, _ = Ec_ilpsolver.Bnb.solve_decision (E.model e) in
+  let s = (Ec_ilpsolver.Bnb.solve_decision_response (E.model e)).solution in
   match E.decode e s with
   | Some c ->
     check Alcotest.bool "proper" true (G.proper g c);
@@ -129,7 +129,7 @@ let test_enabling_infeasible_when_tight () =
   in
   let e = E.make g ~colors:k in
   Ops.add_enabling e;
-  let s, _ = Ec_ilpsolver.Bnb.solve_decision (E.model e) in
+  let s = (Ec_ilpsolver.Bnb.solve_decision_response (E.model e)).solution in
   check Alcotest.bool "K4 with 4 colors has no enabled coloring" false
     (Ec_ilp.Solution.has_point s)
 
@@ -156,7 +156,7 @@ let test_fast_local_repair () =
   let g, _ = G.random_planted rng ~num_nodes:20 ~colors:6 ~edges:30 in
   let e = E.make g ~colors:6 in
   Ops.add_enabling e;
-  let s, _ = Ec_ilpsolver.Bnb.solve_decision (E.model e) in
+  let s = (Ec_ilpsolver.Bnb.solve_decision_response (E.model e)).solution in
   match E.decode e s with
   | None -> Alcotest.fail "enableable"
   | Some c ->

@@ -70,18 +70,18 @@ let prop_encode_solutions_satisfy =
   QCheck.Test.make ~name:"encode: ILP-feasible points decode to models" ~count:200
     arb_formula (fun f ->
       let enc = Ec_core.Encode.of_formula f in
-      let solution, _ = Ec_ilpsolver.Bnb.solve (Ec_core.Encode.model enc) in
+      let solution = (Ec_ilpsolver.Bnb.solve_response (Ec_core.Encode.model enc)).solution in
       match Ec_core.Encode.decode enc solution with
       | Some a -> A.satisfies a f
       | None ->
         (* ILP infeasible <=> CNF unsatisfiable *)
-        not (O.is_sat (Ec_sat.Cdcl.solve_formula f)))
+        not (O.is_sat (Ec_sat.Cdcl.solve_response f).outcome))
 
 let prop_encode_objective_counts_phases =
   QCheck.Test.make ~name:"encode: optimal objective = selected phases" ~count:100
     arb_formula (fun f ->
       let enc = Ec_core.Encode.of_formula f in
-      let solution, _ = Ec_ilpsolver.Bnb.solve (Ec_core.Encode.model enc) in
+      let solution = (Ec_ilpsolver.Bnb.solve_response (Ec_core.Encode.model enc)).solution in
       match Ec_core.Encode.decode enc solution with
       | Some a ->
         abs_float
@@ -103,7 +103,9 @@ let prop_enabling_matches_brute_force =
       in
       let enc = Ec_core.Encode.of_formula f in
       ignore (Ec_core.Enabling.add Ec_core.Enabling.Constraints enc);
-      let solution, _ = Ec_ilpsolver.Bnb.solve_decision (Ec_core.Encode.model enc) in
+      let solution =
+        (Ec_ilpsolver.Bnb.solve_decision_response (Ec_core.Encode.model enc)).solution
+      in
       let ilp = Ec_ilp.Solution.has_point solution in
       let decoded_ok =
         match Ec_core.Encode.decode enc solution with
@@ -121,13 +123,13 @@ let test_enabling_of_scores () =
   in
   let enc_sc = Ec_core.Encode.of_formula f in
   ignore (Ec_core.Enabling.add Ec_core.Enabling.Constraints enc_sc);
-  let sc, _ = Ec_ilpsolver.Bnb.solve_decision (Ec_core.Encode.model enc_sc) in
+  let sc = (Ec_ilpsolver.Bnb.solve_decision_response (Ec_core.Encode.model enc_sc)).solution in
   check Alcotest.string "xor has no enabled solution" "infeasible"
     (Ec_ilp.Solution.status_to_string sc.Ec_ilp.Solution.status);
   let enc_of = Ec_core.Encode.of_formula f in
   let info = Ec_core.Enabling.add (Ec_core.Enabling.Objective 1.0) enc_of in
   check Alcotest.bool "OF adds score vars" true (info.Ec_core.Enabling.score_vars > 0);
-  let of_, _ = Ec_ilpsolver.Bnb.solve (Ec_core.Encode.model enc_of) in
+  let of_ = (Ec_ilpsolver.Bnb.solve_response (Ec_core.Encode.model enc_of)).solution in
   check Alcotest.bool "OF stays solvable" true (Ec_ilp.Solution.has_point of_);
   match Ec_core.Encode.decode enc_of of_ with
   | Some a -> check Alcotest.bool "OF solution satisfies" true (A.satisfies a f)
@@ -138,7 +140,7 @@ let test_enabling_k1_trivial () =
   let f = F.of_lists ~num_vars:2 [ [ 1; 2 ] ] in
   let enc = Ec_core.Encode.of_formula f in
   ignore (Ec_core.Enabling.add ~k:1 Ec_core.Enabling.Constraints enc);
-  let s, _ = Ec_ilpsolver.Bnb.solve_decision (Ec_core.Encode.model enc) in
+  let s = (Ec_ilpsolver.Bnb.solve_decision_response (Ec_core.Encode.model enc)).solution in
   check Alcotest.bool "k=1 solvable" true (Ec_ilp.Solution.has_point s);
   Alcotest.check_raises "k=0 rejected" (Invalid_argument "Enabling.add: k must be >= 1")
     (fun () -> ignore (Ec_core.Enabling.add ~k:0 Ec_core.Enabling.Constraints (Ec_core.Encode.of_formula f)))
@@ -174,7 +176,7 @@ let test_fast_ec_cone_contains_unsat () =
 let prop_fast_ec_merge_satisfies =
   QCheck.Test.make ~name:"fast EC merge satisfies the modified formula" ~count:150
     arb_formula (fun f ->
-      match Ec_sat.Cdcl.solve_formula f with
+      match (Ec_sat.Cdcl.solve_response f).outcome with
       | O.Unsat | O.Unknown _ -> QCheck.assume_fail ()
       | O.Sat a ->
         let rng = Ec_util.Rng.create 7 in
@@ -192,7 +194,7 @@ let prop_fast_ec_safe_clauses_stay_satisfied =
   (* clauses outside the cone keep their satisfying literal *)
   QCheck.Test.make ~name:"fast EC: unmarked clauses satisfied by untouched vars"
     ~count:150 arb_formula (fun f ->
-      match Ec_sat.Cdcl.solve_formula f with
+      match (Ec_sat.Cdcl.solve_response f).outcome with
       | O.Unsat | O.Unknown _ -> QCheck.assume_fail ()
       | O.Sat a ->
         let f' = F.add_clause f (C.make [ -1; -2 ]) in
@@ -237,7 +239,7 @@ let prop_preserving_engines_optimal =
   QCheck.Test.make ~name:"preserving: all four engines match brute force" ~count:40
     (QCheck.make ~print:F.to_string (formula_gen ~max_vars:5 ~max_clauses:10))
     (fun f ->
-      match Ec_sat.Cdcl.solve_formula f with
+      match (Ec_sat.Cdcl.solve_response f).outcome with
       | O.Unsat | O.Unknown _ -> QCheck.assume_fail ()
       | O.Sat reference ->
         let best = brute_best_preserved f reference in
@@ -304,7 +306,7 @@ let prop_backends_agree =
       let verdicts =
         List.map
           (fun b ->
-            match Ec_core.Backend.solve b f with
+            match (Ec_core.Backend.solve_response b f).outcome with
             | O.Sat a -> if A.satisfies a f then `Sat else `Broken
             | O.Unsat -> `Unsat
             | O.Unknown _ -> `Unknown)
@@ -316,7 +318,7 @@ let prop_backends_agree =
 
 let test_backend_heuristic_sound () =
   let f = F.of_lists ~num_vars:4 [ [ 1; 2 ]; [ -1; 3 ]; [ -2; 4 ] ] in
-  (match Ec_core.Backend.solve Ec_core.Backend.ilp_heuristic f with
+  (match (Ec_core.Backend.solve_response Ec_core.Backend.ilp_heuristic f).outcome with
   | O.Sat a -> check Alcotest.bool "model valid" true (A.satisfies a f)
   | O.Unknown _ -> () (* allowed for an incomplete engine *)
   | O.Unsat -> Alcotest.fail "heuristic must not claim unsat");
@@ -328,7 +330,7 @@ let test_backend_empty_clause () =
   List.iter
     (fun b ->
       check Alcotest.string "empty clause unsat" "unsat"
-        (O.to_string (Ec_core.Backend.solve b f)))
+        (O.to_string (Ec_core.Backend.solve_response b f).outcome))
     [ Ec_core.Backend.cdcl; Ec_core.Backend.dpll; Ec_core.Backend.ilp_exact;
       Ec_core.Backend.ilp_heuristic ]
 
@@ -344,7 +346,7 @@ let test_flow_end_to_end () =
     check Alcotest.bool "enabled" true init.Ec_core.Flow.enabled;
     check (Alcotest.float 1e-9) "flexibility 1.0" 1.0 init.Ec_core.Flow.flexibility;
     (match
-       Ec_core.Flow.apply_change init [ Ec_cnf.Change.Eliminate_var 3 ]
+       (Ec_core.Flow.apply_change_response init [ Ec_cnf.Change.Eliminate_var 3 ]).result
      with
     | Some u ->
       check Alcotest.bool "new solution valid" true
@@ -352,16 +354,16 @@ let test_flow_end_to_end () =
     | None -> Alcotest.fail "fast EC should handle v3 elimination");
     (* preserving strategy *)
     (match
-       Ec_core.Flow.apply_change
+       (Ec_core.Flow.apply_change_response
          ~strategy:(Ec_core.Flow.Preserve Ec_core.Preserving.default_engine) init
-         [ Ec_cnf.Change.Add_clause (C.make [ -2; -4 ]) ]
+         [ Ec_cnf.Change.Add_clause (C.make [ -2; -4 ]) ]).result
      with
     | Some u ->
       check Alcotest.bool "preserve valid" true
         (A.satisfies u.Ec_core.Flow.new_assignment u.Ec_core.Flow.new_formula)
     | None -> Alcotest.fail "satisfiable change");
     (* full strategy *)
-    match Ec_core.Flow.apply_change ~strategy:Ec_core.Flow.Full init [] with
+    match (Ec_core.Flow.apply_change_response ~strategy:Ec_core.Flow.Full init []).result with
     | Some u ->
       check (Alcotest.float 1e-9) "empty change, full resolve still valid" 1.0
         (if A.satisfies u.Ec_core.Flow.new_assignment u.Ec_core.Flow.new_formula then 1.0
@@ -374,11 +376,11 @@ let test_flow_unsat_change () =
   | None -> Alcotest.fail "satisfiable"
   | Some init -> (
     match
-      Ec_core.Flow.apply_change init
+      (Ec_core.Flow.apply_change_response init
         [ Ec_cnf.Change.Add_clause (C.make [ 1 ]);
           Ec_cnf.Change.Add_clause (C.make [ -1 ]);
           Ec_cnf.Change.Add_clause (C.make [ 2 ]);
-          Ec_cnf.Change.Add_clause (C.make [ -2 ]) ]
+          Ec_cnf.Change.Add_clause (C.make [ -2 ]) ]).result
     with
     | None -> ()
     | Some _ -> Alcotest.fail "contradictory change must fail")

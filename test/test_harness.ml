@@ -1,5 +1,6 @@
-(* Tests for Ec_harness: protocol, fast resolver and the three table
-   runners at miniature scale (structure and invariants, not timing). *)
+(* Tests for Ec_harness: protocol, the tables' re-solve backend and the
+   three table runners at miniature scale (structure and invariants,
+   not timing). *)
 
 let check = Alcotest.check
 
@@ -54,15 +55,21 @@ let test_initial_solve_plain () =
   | Some { P.assignment = a; _ } ->
     check Alcotest.bool "satisfies" true (Ec_cnf.Assignment.satisfies a inst.formula)
 
-let test_exact_resolve () =
+(* Table 2's re-solve engine: branch & bound in decision mode under the
+   config's safety budget. *)
+let table2_backend = Ec_core.Backend.Ilp_exact (P.bnb_options tiny_config)
+
+let test_ilp_exact_resolve () =
   let f = Ec_cnf.Formula.of_lists ~num_vars:3 [ [ 1; 2 ]; [ -1; 3 ] ] in
-  (match P.exact_resolve tiny_config f with
-  | Some { P.assignment = a; certified; _ } ->
-    check Alcotest.bool "valid" true (Ec_cnf.Assignment.satisfies a f);
-    check Alcotest.bool "certified" true certified
-  | None -> Alcotest.fail "satisfiable");
+  let r = Ec_core.Backend.solve_response table2_backend f in
+  check Alcotest.string "engine" "ilp-bnb" r.Ec_core.Backend.engine;
+  (match r.Ec_core.Backend.outcome with
+  | Ec_sat.Outcome.Sat a -> check Alcotest.bool "valid" true (Ec_cnf.Assignment.satisfies a f)
+  | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ -> Alcotest.fail "satisfiable");
   let unsat = Ec_cnf.Formula.of_lists ~num_vars:1 [ [ 1 ]; [ -1 ] ] in
-  check Alcotest.bool "unsat detected" true (P.exact_resolve tiny_config unsat = None)
+  check Alcotest.string "unsat detected" "unsat"
+    (Ec_sat.Outcome.to_string
+       (Ec_core.Backend.solve_response table2_backend unsat).outcome)
 
 let test_fast_resolver () =
   let inst = R.build (R.scale 0.1 (R.find "ii8a1")) in
@@ -75,12 +82,12 @@ let test_fast_resolver () =
     in
     let f' = Ec_cnf.Change.apply_script inst.formula script in
     let p = Ec_cnf.Assignment.extend a0 (Ec_cnf.Formula.num_vars f') in
-    let r = Ec_harness.Fast_resolver.resolve tiny_config f' p in
-    (match r.Ec_harness.Fast_resolver.solution with
+    let r = Ec_core.Fast_ec.resolve ~backend:table2_backend f' p in
+    (match r.Ec_core.Fast_ec.solution with
     | Some a -> check Alcotest.bool "resolved satisfies" true (Ec_cnf.Assignment.satisfies a f')
-    | None -> () (* change made it unsat: allowed *));
+    | None -> () (* cone unsatisfiable: Table 2 falls back to a full re-solve *));
     check Alcotest.bool "cone size sane" true
-      (r.Ec_harness.Fast_resolver.sub_vars <= Ec_cnf.Formula.num_vars f')
+      (r.Ec_core.Fast_ec.sub_vars_count <= Ec_cnf.Formula.num_vars f')
 
 let test_table1_structure () =
   let result = Ec_harness.Table1.run tiny_config in
@@ -122,15 +129,32 @@ let test_table3_structure () =
   check Alcotest.bool "rendered" true
     (String.length (Ec_harness.Table3.render result) > 100)
 
+(* The change scripts come from per-instance streams, so every field
+   but the wall-time ones is the same whatever the batch parallelism. *)
+let test_tables_independent_of_jobs () =
+  let at jobs = { tiny_config with P.jobs } in
+  let t2 (r : Ec_harness.Table2.result) =
+    List.map
+      (fun (row : Ec_harness.Table2.row) ->
+        { row with orig_s = 0.0; avg_new_s = 0.0; new_norm = 0.0 })
+      (r.exact_rows @ r.heuristic_rows)
+  in
+  check Alcotest.bool "table 2 rows equal at jobs 1 and 2" true
+    (t2 (Ec_harness.Table2.run (at 1)) = t2 (Ec_harness.Table2.run (at 2)));
+  check Alcotest.bool "table 3 rows equal at jobs 1 and 2" true
+    (Ec_harness.Table3.run (at 1) = Ec_harness.Table3.run (at 2))
+
 let tests =
   [ ( "harness.protocol",
       [ Alcotest.test_case "config presets" `Quick test_config_presets;
         Alcotest.test_case "instances list" `Quick test_instances_list;
         Alcotest.test_case "initial solve (enabled)" `Quick test_initial_solve_enabled;
         Alcotest.test_case "initial solve (plain)" `Quick test_initial_solve_plain;
-        Alcotest.test_case "exact resolve" `Quick test_exact_resolve;
+        Alcotest.test_case "exact resolve" `Quick test_ilp_exact_resolve;
         Alcotest.test_case "fast resolver" `Quick test_fast_resolver ] );
     ( "harness.tables",
       [ Alcotest.test_case "table 1 structure" `Slow test_table1_structure;
         Alcotest.test_case "table 2 structure" `Slow test_table2_structure;
-        Alcotest.test_case "table 3 structure" `Slow test_table3_structure ] ) ]
+        Alcotest.test_case "table 3 structure" `Slow test_table3_structure;
+        Alcotest.test_case "tables independent of jobs" `Slow
+          test_tables_independent_of_jobs ] ) ]

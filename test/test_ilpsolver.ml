@@ -95,7 +95,7 @@ let prop_bnb_matches_brute_force =
   QCheck.Test.make ~name:"bnb optimum = brute force" ~count:400 arb_rand_model
     (fun rm ->
       let model = build_model rm in
-      let solution, _ = B.solve model in
+      let solution = (B.solve_response model).B.solution in
       match (brute_force rm, solution.S.status) with
       | None, S.Infeasible -> true
       | Some opt, S.Optimal ->
@@ -107,9 +107,11 @@ let prop_bnb_greedy_off_agrees =
   QCheck.Test.make ~name:"bnb optimum independent of greedy completion" ~count:200
     arb_rand_model (fun rm ->
       let model () = build_model rm in
-      let s1, _ = B.solve (model ()) in
-      let s2, _ =
-        B.solve ~options:{ B.default_options with greedy_completion = false } (model ())
+      let s1 = (B.solve_response (model ())).B.solution in
+      let s2 =
+        (B.solve_response ~options:{ B.default_options with greedy_completion = false }
+           (model ()))
+          .B.solution
       in
       match (s1.S.status, s2.S.status) with
       | S.Optimal, S.Optimal -> abs_float (s1.S.objective -. s2.S.objective) < 1e-6
@@ -120,11 +122,12 @@ let prop_bnb_lp_bounding_agrees =
   QCheck.Test.make ~name:"bnb optimum independent of LP bounding" ~count:150
     arb_rand_model (fun rm ->
       let model () = build_model rm in
-      let s1, _ = B.solve (model ()) in
-      let s2, _ =
-        B.solve
-          ~options:{ B.default_options with use_lp_bounding = true; lp_max_depth = 3 }
-          (model ())
+      let s1 = (B.solve_response (model ())).B.solution in
+      let s2 =
+        (B.solve_response
+           ~options:{ B.default_options with use_lp_bounding = true; lp_max_depth = 3 }
+           (model ()))
+          .B.solution
       in
       match (s1.S.status, s2.S.status) with
       | S.Optimal, S.Optimal -> abs_float (s1.S.objective -. s2.S.objective) < 1e-6
@@ -135,9 +138,11 @@ let prop_bnb_branching_agrees =
   QCheck.Test.make ~name:"bnb optimum independent of branching rule" ~count:200
     arb_rand_model (fun rm ->
       let model () = build_model rm in
-      let s1, _ = B.solve (model ()) in
-      let s2, _ =
-        B.solve ~options:{ B.default_options with branching = B.First_unfixed } (model ())
+      let s1 = (B.solve_response (model ())).B.solution in
+      let s2 =
+        (B.solve_response ~options:{ B.default_options with branching = B.First_unfixed }
+           (model ()))
+          .B.solution
       in
       match (s1.S.status, s2.S.status) with
       | S.Optimal, S.Optimal -> abs_float (s1.S.objective -. s2.S.objective) < 1e-6
@@ -149,7 +154,7 @@ let prop_heuristic_sound =
     (fun rm ->
       let model = build_model rm in
       let options = { H.default_options with max_flips = 3000; max_restarts = 3 } in
-      let solution, _ = H.solve ~options model in
+      let solution = (H.solve_response ~options model).H.solution in
       match solution.S.status with
       | S.Feasible ->
         Ec_ilp.Validate.is_feasible model solution.S.values
@@ -165,17 +170,18 @@ let test_bnb_knapsack () =
   let weights = [ 2.0; 3.0; 4.0; 5.0 ] and values = [ 3.0; 4.0; 5.0; 6.0 ] in
   M.add_constr m (E.of_terms (List.map2 (fun w x -> (w, x)) weights xs)) M.Le 5.0;
   M.set_objective m M.Maximize (E.of_terms (List.map2 (fun v x -> (v, x)) values xs));
-  let s, stats = B.solve m in
+  let r = B.solve_response m in
+  let s = r.B.solution in
   check Alcotest.string "status" "optimal" (S.status_to_string s.S.status);
   check feq "knapsack optimum" 7.0 s.S.objective;
-  check Alcotest.bool "some nodes explored" true (stats.B.nodes > 0)
+  check Alcotest.bool "some nodes explored" true (r.B.stats.B.nodes > 0)
 
 let test_bnb_infeasible () =
   let m = M.create () in
   let x = M.add_var m M.Binary in
   let y = M.add_var m M.Binary in
   M.add_constr m (E.of_terms [ (1.0, x); (1.0, y) ]) M.Ge 3.0;
-  let s, _ = B.solve m in
+  let s = (B.solve_response m).B.solution in
   check Alcotest.string "infeasible" "infeasible" (S.status_to_string s.S.status)
 
 let test_bnb_decision_stops_early () =
@@ -184,7 +190,7 @@ let test_bnb_decision_stops_early () =
   let xs = List.init 6 (fun _ -> M.add_var m M.Binary) in
   M.add_constr m (E.of_terms (List.map (fun x -> (1.0, x)) xs)) M.Ge 1.0;
   M.set_objective m M.Minimize (E.of_terms (List.map (fun x -> (1.0, x)) xs));
-  let s, _ = B.solve_decision m in
+  let s = (B.solve_decision_response m).B.solution in
   check Alcotest.string "feasible" "feasible" (S.status_to_string s.S.status);
   check Alcotest.bool "point valid" true (Ec_ilp.Validate.is_feasible m s.S.values)
 
@@ -199,10 +205,11 @@ let test_bnb_node_budget () =
         M.add_constr m (E.of_terms [ (1.0, List.nth xs (i - 1)); (1.0, x) ]) M.Ge 1.0)
     xs;
   M.set_objective m M.Minimize (E.of_terms (List.map (fun x -> (1.0, x)) xs));
-  let s, _ =
-    B.solve
-      ~options:{ B.default_options with budget = Ec_util.Budget.create ~nodes:1 () }
-      m
+  let s =
+    (B.solve_response
+       ~options:{ B.default_options with budget = Ec_util.Budget.create ~nodes:1 () }
+       m)
+      .B.solution
   in
   check Alcotest.bool "not optimal under 1-node budget" true
     (s.S.status <> S.Optimal)
@@ -212,7 +219,7 @@ let test_bnb_rejects_continuous () =
   ignore (M.add_var m (M.Continuous (0.0, 1.0)));
   Alcotest.check_raises "continuous rejected"
     (Invalid_argument "Rows.of_model: continuous variable in a 0-1 model") (fun () ->
-      ignore (B.solve m))
+      ignore (B.solve_response m))
 
 let test_bnb_tie_seed_changes_solution () =
   (* On a model with many symmetric optima, different tie seeds can
@@ -223,8 +230,11 @@ let test_bnb_tie_seed_changes_solution () =
     M.add_constr m (E.of_terms (List.map (fun x -> (1.0, x)) xs)) M.Ge 4.0;
     m
   in
-  let s1, _ = B.solve ~options:{ B.default_options with tie_seed = Some 1 } (build ()) in
-  let s2, _ = B.solve ~options:{ B.default_options with tie_seed = Some 2 } (build ()) in
+  let solve seed =
+    (B.solve_response ~options:{ B.default_options with tie_seed = Some seed } (build ()))
+      .B.solution
+  in
+  let s1 = solve 1 and s2 = solve 2 in
   check Alcotest.bool "both solved" true (S.has_point s1 && S.has_point s2)
 
 let test_heuristic_simple_sat () =
@@ -233,9 +243,9 @@ let test_heuristic_simple_sat () =
   let y = M.add_var m M.Binary in
   M.add_constr m (E.of_terms [ (1.0, x); (1.0, y) ]) M.Ge 1.0;
   M.add_constr m (E.of_terms [ (-1.0, x); (1.0, y) ]) M.Ge 0.0;
-  let s, stats = H.solve ~options:{ H.default_options with stop_at_first_feasible = true } m in
-  check Alcotest.string "feasible" "feasible" (S.status_to_string s.S.status);
-  check Alcotest.bool "hit recorded" true (stats.H.feasible_hits >= 1)
+  let r = H.solve_response ~options:{ H.default_options with stop_at_first_feasible = true } m in
+  check Alcotest.string "feasible" "feasible" (S.status_to_string r.H.solution.S.status);
+  check Alcotest.bool "hit recorded" true (r.H.stats.H.feasible_hits >= 1)
 
 let test_heuristic_warm_start () =
   let m = M.create () in
@@ -248,10 +258,11 @@ let test_heuristic_warm_start () =
       stop_at_first_feasible = true;
       initial_point = Some [| 1; 1 |] }
   in
-  let s, stats = H.solve ~options m in
-  check Alcotest.string "feasible at once" "feasible" (S.status_to_string s.S.status);
+  let r = H.solve_response ~options m in
+  check Alcotest.string "feasible at once" "feasible"
+    (S.status_to_string r.H.solution.S.status);
   (* seeded at the solution: no flips needed before the first check *)
-  check Alcotest.bool "few flips" true (stats.H.flips <= 1)
+  check Alcotest.bool "few flips" true (r.H.stats.H.flips <= 1)
 
 let test_rows_normalization () =
   let m = M.create () in

@@ -148,7 +148,9 @@ let prop_session_equals_scratch =
     (fun (n, initial, additions) ->
       let f0 = F.of_lists ~num_vars:n initial in
       let session = I.create f0 in
-      let ok = ref (O.is_sat (I.solve session) = O.is_sat (Ec_sat.Cdcl.solve_formula f0)) in
+      let ok =
+        ref (O.is_sat (I.solve session) = O.is_sat (Ec_sat.Cdcl.solve_response f0).outcome)
+      in
       let f = ref f0 in
       List.iter
         (fun lits ->
@@ -158,7 +160,7 @@ let prop_session_equals_scratch =
             f := F.add_clause !f c;
             I.add_clause session c;
             let inc = I.solve session in
-            let scr = Ec_sat.Cdcl.solve_formula !f in
+            let scr = (Ec_sat.Cdcl.solve_response !f).outcome in
             (match (inc, scr) with
             | O.Sat a, O.Sat _ -> if not (A.satisfies a !f) then ok := false
             | O.Unsat, O.Unsat -> ()

@@ -47,13 +47,15 @@ let prop_flow_pipeline =
         Ec_core.Enabling.verify f init.Ec_core.Flow.assignment
         &&
         let script = Ec_cnf.Change.fast_ec_script rng f ~eliminate:1 ~add:3 ~clause_width:3 in
-        (match Ec_core.Flow.apply_change ~strategy:Ec_core.Flow.Fast init script with
+        (match
+           (Ec_core.Flow.apply_change_response ~strategy:Ec_core.Flow.Fast init script).result
+         with
         | Some u ->
           A.satisfies u.Ec_core.Flow.new_assignment u.Ec_core.Flow.new_formula
         | None ->
           (* random additions may genuinely kill satisfiability *)
-          Ec_core.Backend.solve Ec_core.Backend.cdcl
-            (Ec_cnf.Change.apply_script f script)
+          (Ec_core.Backend.solve_response Ec_core.Backend.cdcl
+            (Ec_cnf.Change.apply_script f script)).outcome
           = O.Unsat))
 
 (* 2. Fast EC and full re-solve agree on feasibility of the change. *)
@@ -61,7 +63,7 @@ let prop_fast_vs_full_feasibility =
   QCheck.Test.make ~name:"fast EC finds a solution whenever one exists (with fallback)"
     ~count:60 arb_instance (fun spec ->
       let f, _, rng = build spec in
-      match Ec_core.Backend.solve Ec_core.Backend.cdcl f with
+      match (Ec_core.Backend.solve_response Ec_core.Backend.cdcl f).outcome with
       | O.Unsat | O.Unknown _ -> QCheck.assume_fail ()
       | O.Sat a ->
         let f' =
@@ -70,7 +72,7 @@ let prop_fast_vs_full_feasibility =
         in
         let p = A.extend a (F.num_vars f') in
         let cone = Ec_core.Fast_ec.resolve ~backend:Ec_core.Backend.cdcl f' p in
-        let full = Ec_core.Backend.solve Ec_core.Backend.cdcl f' in
+        let full = (Ec_core.Backend.solve_response Ec_core.Backend.cdcl f').outcome in
         (match (cone.Ec_core.Fast_ec.solution, full) with
         | Some m, O.Sat _ -> A.satisfies m f'
         | None, O.Unsat -> true
@@ -84,10 +86,10 @@ let prop_preserving_dominates =
   QCheck.Test.make ~name:"preserving EC dominates arbitrary re-solves" ~count:50
     arb_instance (fun spec ->
       let f, _, rng = build spec in
-      match Ec_core.Backend.solve Ec_core.Backend.cdcl f with
+      match (Ec_core.Backend.solve_response Ec_core.Backend.cdcl f).outcome with
       | O.Unsat | O.Unknown _ -> QCheck.assume_fail ()
       | O.Sat reference ->
-        let satisfiable g = O.is_sat (Ec_sat.Cdcl.solve_formula g) in
+        let satisfiable g = O.is_sat (Ec_sat.Cdcl.solve_response g).outcome in
         let script =
           Ec_cnf.Change.preserving_ec_script ~satisfiable rng f ~reference ~add_vars:1
             ~del_vars:1 ~add_clauses:2 ~del_clauses:1 ~clause_width:2
@@ -106,7 +108,7 @@ let prop_preserving_dominates =
           && r_ilp.Ec_core.Preserving.preserved = r_sat.Ec_core.Preserving.preserved
           &&
           (* any other model preserves no more *)
-          (match Ec_core.Backend.solve Ec_core.Backend.cdcl f' with
+          (match (Ec_core.Backend.solve_response Ec_core.Backend.cdcl f').outcome with
           | O.Sat other ->
             A.preserved_count ~old_assignment:reference other
             <= r_ilp.Ec_core.Preserving.preserved
@@ -129,12 +131,12 @@ let prop_four_way_agreement =
       in
       let verdicts =
         [ O.is_sat (Ec_sat.Preprocess.solve_with_preprocessing f);
-          O.is_sat (Ec_sat.Cdcl.solve_formula f);
-          O.is_sat (Ec_sat.Dpll.solve f);
-          (match Ec_core.Backend.solve Ec_core.Backend.ilp_exact f with
+          O.is_sat (Ec_sat.Cdcl.solve_response f).outcome;
+          O.is_sat (Ec_sat.Dpll.solve_response f).outcome;
+          (match (Ec_core.Backend.solve_response Ec_core.Backend.ilp_exact f).outcome with
           | O.Sat _ -> true
           | O.Unsat -> false
-          | O.Unknown _ -> not (O.is_sat (Ec_sat.Cdcl.solve_formula f))) ]
+          | O.Unknown _ -> not (O.is_sat (Ec_sat.Cdcl.solve_response f).outcome)) ]
       in
       match verdicts with
       | v :: rest -> List.for_all (fun x -> x = v) rest
@@ -155,7 +157,7 @@ let prop_incremental_tracks_flow =
         in
         f_ref := F.add_clause !f_ref c;
         Ec_sat.Incremental.add_clause session c;
-        match (Ec_sat.Incremental.solve session, Ec_sat.Cdcl.solve_formula !f_ref) with
+        match (Ec_sat.Incremental.solve session, (Ec_sat.Cdcl.solve_response !f_ref).outcome) with
         | O.Sat a, O.Sat _ -> if not (A.satisfies a !f_ref) then ok := false
         | O.Unsat, O.Unsat -> ()
         | _, _ -> ok := false
@@ -168,7 +170,8 @@ let prop_dimacs_solver_roundtrip =
     arb_instance (fun spec ->
       let f, _, _ = build spec in
       let f2 = Ec_cnf.Dimacs.parse_string (Ec_cnf.Dimacs.to_string f) in
-      O.is_sat (Ec_sat.Cdcl.solve_formula f) = O.is_sat (Ec_sat.Cdcl.solve_formula f2))
+      O.is_sat (Ec_sat.Cdcl.solve_response f).outcome
+      = O.is_sat (Ec_sat.Cdcl.solve_response f2).outcome)
 
 let test_cli_roundtrip_files () =
   (* gen -> file -> parse -> solve, exercising the same path as ecsat *)
@@ -179,7 +182,7 @@ let test_cli_roundtrip_files () =
   let parsed = Ec_cnf.Dimacs.parse_file path in
   Sys.remove path;
   check Alcotest.bool "file round-trip" true (F.equal inst.formula parsed);
-  match Ec_core.Backend.solve Ec_core.Backend.cdcl parsed with
+  match (Ec_core.Backend.solve_response Ec_core.Backend.cdcl parsed).outcome with
   | O.Sat a -> check Alcotest.bool "solves" true (A.satisfies a parsed)
   | _ -> Alcotest.fail "satisfiable"
 

@@ -52,10 +52,33 @@ let store_append_load () =
   | Ok _ -> Alcotest.fail "malformed line accepted");
   Sys.remove path
 
+let store_skips_stored_keys () =
+  let path = Filename.temp_file "matrix" ".jsonl" in
+  let cells = [ cell (); cell ~scenario:"tables" (); cell ~scale:48 () ] in
+  let appended () =
+    match M.append ~path cells with
+    | Ok n -> n
+    | Error e -> Alcotest.failf "append: %s" e
+  in
+  Alcotest.(check int) "first run stores every cell" 3 (appended ());
+  Alcotest.(check int) "second run stores none" 0 (appended ());
+  (* same key, different measurement: still a duplicate *)
+  Alcotest.(check bool) "re-measured cell skipped" true
+    (M.append ~path [ cell ~wall:9.0 (); cell ~commit:"c1" () ] = Ok 1);
+  (match M.load ~path with
+  | Error e -> Alcotest.failf "load: %s" e
+  | Ok stored ->
+    let keys =
+      List.map (fun c -> (c.M.commit, c.M.digest, c.M.scenario, c.M.scale)) stored
+    in
+    Alcotest.(check int) "each key loaded once" 4 (List.length keys);
+    Alcotest.(check int) "keys distinct" 4 (List.length (List.sort_uniq compare keys)));
+  Sys.remove path
+
 let unwritable_store () =
   match M.append ~path:"/nonexistent-dir/results.jsonl" [ cell () ] with
   | Error _ -> ()
-  | Ok () -> Alcotest.fail "unwritable path accepted"
+  | Ok _ -> Alcotest.fail "unwritable path accepted"
 
 let gate_no_baseline_passes () =
   match M.gate ~baseline:[] [ cell () ] with
@@ -147,6 +170,7 @@ let tests =
       [ Alcotest.test_case "cell JSON round-trip" `Quick json_roundtrip;
         Alcotest.test_case "cell JSON rejects garbage" `Quick json_rejects_garbage;
         Alcotest.test_case "store append/load, malformed line" `Quick store_append_load;
+        Alcotest.test_case "store keeps one cell per key" `Quick store_skips_stored_keys;
         Alcotest.test_case "unwritable store is an Error" `Quick unwritable_store;
         Alcotest.test_case "gate: no baseline passes" `Quick gate_no_baseline_passes;
         Alcotest.test_case "gate: latest other-commit baseline" `Quick

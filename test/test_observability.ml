@@ -287,10 +287,10 @@ let test_two_runs_identical_counters () =
 
 let test_tracing_does_not_change_answers () =
   with_clean_slate (fun () ->
-      let untraced = render_outcome (B.solve B.cdcl fixture_formula) in
+      let untraced = render_outcome (B.solve_response B.cdcl fixture_formula).B.outcome in
       Trace.enable ();
       Metrics.enable ();
-      let traced = render_outcome (B.solve B.cdcl fixture_formula) in
+      let traced = render_outcome (B.solve_response B.cdcl fixture_formula).B.outcome in
       check Alcotest.string "bit-identical answer with recording armed" untraced
         traced;
       check Alcotest.bool "and the solve really was traced" true

@@ -90,7 +90,7 @@ let test_section6_fast_ec () =
       [ [ 1; 2; 3 ]; [ 1; -2; -3; 4 ]; [ 1; 3; 6 ]; [ 1; 4; 5 ]; [ -1; 3; 4 ];
         [ 2; -3; 5 ]; [ 2; -6 ]; [ -2; 5 ]; [ 3; -4; 5 ]; [ -3; 5 ] ]
   in
-  match Ec_sat.Cdcl.solve_formula f with
+  match (Ec_sat.Cdcl.solve_response f).outcome with
   | Ec_sat.Outcome.Sat s ->
     let f' =
       F.add_clauses f [ C.make [ -5; 6 ]; C.make [ 1; -3; 4 ] ]
@@ -139,7 +139,7 @@ let test_section5_enabling_ilp () =
   let info = Ec_core.Enabling.add Ec_core.Enabling.Constraints enc in
   (* one Z per literal occurrence: clauses have 2+2+2 literals *)
   check Alcotest.int "support vars" 6 info.Ec_core.Enabling.support_vars;
-  let s, _ = Ec_ilpsolver.Bnb.solve_decision (Ec_core.Encode.model enc) in
+  let s = (Ec_ilpsolver.Bnb.solve_decision_response (Ec_core.Encode.model enc)).solution in
   match Ec_core.Encode.decode enc s with
   | Some a ->
     check Alcotest.bool "decoded solution is enabled" true (Ec_core.Enabling.verify f a)

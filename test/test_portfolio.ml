@@ -145,29 +145,6 @@ let test_counters_aggregated () =
     "response spend = sum over racers" true
     (counters_equal total pr.B.response.B.counters)
 
-(* --- jobs = 1 determinism --------------------------------------- *)
-
-let test_jobs1_is_sequential () =
-  let f = sat_formula in
-  let run ?jobs () = B.solve_chain ?jobs B.default_chain f in
-  let r0 = run () and r1 = run ~jobs:1 () and r2 = run ~jobs:1 () in
-  List.iter
-    (fun (label, (a : B.response), (b : B.response)) ->
-      check Alcotest.string (label ^ ": engine") a.B.engine b.B.engine;
-      check Alcotest.string (label ^ ": reason")
-        (Budget.reason_to_string a.B.reason)
-        (Budget.reason_to_string b.B.reason);
-      Alcotest.(check bool) (label ^ ": counters") true
-        (counters_equal a.B.counters b.B.counters);
-      match (a.B.outcome, b.B.outcome) with
-      | O.Sat x, O.Sat y ->
-        Alcotest.(check bool)
-          (label ^ ": same model") true
-          (Ec_cnf.Assignment.preserved_fraction ~old_assignment:x y = 1.0)
-      | O.Unsat, O.Unsat -> ()
-      | _ -> Alcotest.fail (label ^ ": outcomes differ"))
-    [ ("jobs-absent vs jobs=1", r0, r1); ("repeat run", r1, r2) ]
-
 (* --- chaos ------------------------------------------------------- *)
 
 let test_chaos_crashed_racer_never_wins () =
@@ -227,8 +204,6 @@ let tests =
           test_portfolio_unsat;
         Alcotest.test_case "winner aggregates all racers' counters" `Quick
           test_counters_aggregated;
-        Alcotest.test_case "jobs=1 is the sequential path, bit for bit" `Quick
-          test_jobs1_is_sequential;
         Alcotest.test_case "chaos: crashed racer never wins the race" `Quick
           test_chaos_crashed_racer_never_wins;
         Alcotest.test_case "chaos: stalled domain does not block the race" `Quick

@@ -59,7 +59,7 @@ let test_elimination_reconstructs () =
   | `Simplified r ->
     check Alcotest.bool "something disappeared" true
       (r.P.eliminated <> [] || r.P.fixed <> []);
-    (match Ec_sat.Cdcl.solve_formula r.P.formula with
+    (match (Ec_sat.Cdcl.solve_response r.P.formula).outcome with
     | O.Sat a ->
       let lifted = P.reconstruct r a in
       check Alcotest.bool "lifted satisfies original" true (A.satisfies lifted f)
@@ -85,11 +85,11 @@ let arb_formula = QCheck.make ~print:F.to_string formula_gen
 let prop_equisatisfiable =
   QCheck.Test.make ~name:"preprocess preserves satisfiability" ~count:400 arb_formula
     (fun f ->
-      let scratch = O.is_sat (Ec_sat.Cdcl.solve_formula f) in
+      let scratch = O.is_sat (Ec_sat.Cdcl.solve_response f).outcome in
       match P.simplify f with
       | `Unsat -> not scratch
       | `Simplified r -> (
-        match Ec_sat.Cdcl.solve_formula r.P.formula with
+        match (Ec_sat.Cdcl.solve_response r.P.formula).outcome with
         | O.Sat a -> scratch && A.satisfies (P.reconstruct r a) f
         | O.Unsat -> not scratch
         | O.Unknown _ -> false))
@@ -98,7 +98,7 @@ let prop_pipeline_equals_scratch =
   QCheck.Test.make ~name:"solve_with_preprocessing = plain cdcl" ~count:300 arb_formula
     (fun f ->
       let a = P.solve_with_preprocessing f in
-      let b = Ec_sat.Cdcl.solve_formula f in
+      let b = (Ec_sat.Cdcl.solve_response f).outcome in
       match (a, b) with
       | O.Sat m, O.Sat _ -> A.satisfies m f
       | O.Unsat, O.Unsat -> true

@@ -26,14 +26,14 @@ module O = Ec_sat.Outcome
    to answer SAT before checking the never-decided assumption -2. *)
 let test_r1_assumptions_checked_at_full_assignment () =
   let f = F.of_lists ~num_vars:4 [ [ 2; -3; 4 ]; [ 2 ]; [ 4 ]; [ -3 ] ] in
-  (match Ec_sat.Cdcl.solve ~assumptions:[ 1; -2 ] f with
-  | O.Unsat, _ -> ()
-  | O.Sat _, _ -> Alcotest.fail "assumption -2 contradicts the unit (v2)"
-  | O.Unknown _, _ -> Alcotest.fail "no budget was set");
+  (match (Ec_sat.Cdcl.solve_response ~assumptions:[ 1; -2 ] f).outcome with
+  | O.Unsat -> ()
+  | O.Sat _ -> Alcotest.fail "assumption -2 contradicts the unit (v2)"
+  | O.Unknown _ -> Alcotest.fail "no budget was set");
   (* equivalence with posting the assumptions as units *)
   let g = F.add_clauses f [ C.make [ 1 ]; C.make [ -2 ] ] in
   check Alcotest.string "unit form agrees" "unsat"
-    (O.to_string (Ec_sat.Cdcl.solve_formula g))
+    (O.to_string (Ec_sat.Cdcl.solve_response g).outcome)
 
 (* R2: after the first solve every literal of the added clause
    (~v3 ~v5 ~v7) is already false at level 0; the session must rewind
@@ -67,11 +67,11 @@ let test_r3_preprocessor_unit_elimination_race () =
         [ 1; -3; 7 ] ]
   in
   check Alcotest.bool "formula is satisfiable" true
-    (O.is_sat (Ec_sat.Cdcl.solve_formula f));
+    (O.is_sat (Ec_sat.Cdcl.solve_response f).outcome);
   match Ec_sat.Preprocess.simplify f with
   | `Unsat -> Alcotest.fail "preprocessor must not refute a satisfiable formula"
   | `Simplified r -> (
-    match Ec_sat.Cdcl.solve_formula r.Ec_sat.Preprocess.formula with
+    match (Ec_sat.Cdcl.solve_response r.Ec_sat.Preprocess.formula).outcome with
     | O.Sat a ->
       check Alcotest.bool "lifted model satisfies the original" true
         (A.satisfies (Ec_sat.Preprocess.reconstruct r a) f)
@@ -89,7 +89,7 @@ let test_r3_pipeline_agrees () =
   in
   check Alcotest.bool "pipeline = scratch" true
     (O.is_sat (Ec_sat.Preprocess.solve_with_preprocessing f)
-    = O.is_sat (Ec_sat.Cdcl.solve_formula f))
+    = O.is_sat (Ec_sat.Cdcl.solve_response f).outcome)
 
 let tests =
   [ ( "regressions",

@@ -3,8 +3,8 @@
    The robustness contract is two-sided.  Safety: no uncertified Sat
    ever leaves Backend/Flow, whatever an engine does — corrupt models
    and forged verdicts are demoted to [Unknown (Engine_failure _)].
-   Liveness: one broken engine degrades gracefully — chains fall
-   through to the next stage, the randomized engine is retried
+   Liveness: one broken engine degrades gracefully — a portfolio's
+   other racers still answer, the randomized engine is retried
    reseeded, and an exhausted plan leaves the stack working again.
 
    Every test arms an explicit plan through Ec_util.Fault and resets
@@ -50,7 +50,7 @@ let sat_formula =
 let critical_formula = F.of_lists ~num_vars:4 [ [ 1 ]; [ -2 ]; [ 3 ]; [ -4 ] ]
 
 let witness_of f =
-  match B.solve B.cdcl f with
+  match (B.solve_response B.cdcl f).B.outcome with
   | O.Sat a -> a
   | O.Unsat | O.Unknown _ -> Alcotest.fail "fixture must be satisfiable"
 
@@ -99,20 +99,23 @@ let test_corrupt_ilp_safe site backend () =
 let test_forged_unsat_refuted () =
   let w = witness_of sat_formula in
   with_faults "cdcl.answer=forge-unsat" (fun () ->
-      let r = B.solve_chain ~hint:w [ B.cdcl ] sat_formula in
+      let r = B.solve_response ~hint:w B.cdcl sat_formula in
       check Alcotest.bool "forge fired" true (Fault.fired () > 0);
       check Alcotest.bool "refuted verdict is engine-failure" true
-        (is_engine_failure r.B.outcome))
+        (is_engine_failure r.B.outcome);
+      check Alcotest.bool "reason matches the outcome" true
+        (O.Unknown r.B.reason = r.B.outcome))
 
-let test_forged_unsat_chain_recovers () =
+let test_forged_unsat_portfolio_recovers () =
   let w = witness_of sat_formula in
   with_faults "cdcl.answer=forge-unsat" (fun () ->
-      (* Only the first stage lies; the chain must fall through and the
-         second stage must deliver a certified model. *)
-      let r = B.solve_chain ~hint:w [ B.cdcl; B.dpll ] sat_formula in
+      (* Only the CDCL racer lies; its refuted verdict must not win, and
+         the DPLL racer must deliver a certified model. *)
+      let pr = B.solve_portfolio ~hint:w [ B.cdcl; B.dpll ] sat_formula in
+      let r = pr.B.response in
       assert_safe sat_formula r.B.outcome;
-      check Alcotest.bool "second stage answered" true (O.is_sat r.B.outcome);
-      check Alcotest.string "engine is the fallback" "dpll" r.B.engine)
+      check Alcotest.bool "honest racer answered" true (O.is_sat r.B.outcome);
+      check Alcotest.string "winner is the honest racer" "dpll" r.B.engine)
 
 (* Without a witness a forged UNSAT is indistinguishable from a real
    one — the documented limit.  It must still not crash or turn into
@@ -135,12 +138,13 @@ let test_raise_contained site backend () =
       | O.Sat _ | O.Unsat | O.Unknown _ ->
         Alcotest.fail (site ^ ": injected exception was not contained"))
 
-let test_raise_chain_falls_through () =
+let test_raise_portfolio_survives () =
   with_faults "cdcl.solve=raise" (fun () ->
-      let r = B.solve_chain [ B.cdcl; B.dpll ] sat_formula in
+      let pr = B.solve_portfolio [ B.cdcl; B.dpll ] sat_formula in
+      let r = pr.B.response in
       assert_safe sat_formula r.B.outcome;
-      check Alcotest.bool "fallback stage answered" true (O.is_sat r.B.outcome);
-      check Alcotest.string "engine is the fallback" "dpll" r.B.engine)
+      check Alcotest.bool "healthy racer answered" true (O.is_sat r.B.outcome);
+      check Alcotest.string "winner is the healthy racer" "dpll" r.B.engine)
 
 (* ---- budget burn degrades, not corrupts ---- *)
 
@@ -351,8 +355,8 @@ let tests =
           (test_corrupt_ilp_safe "heuristic.answer" B.ilp_heuristic);
         Alcotest.test_case "forged unsat refuted by witness" `Quick
           test_forged_unsat_refuted;
-        Alcotest.test_case "forged unsat: chain recovers" `Quick
-          test_forged_unsat_chain_recovers;
+        Alcotest.test_case "forged unsat: portfolio recovers" `Quick
+          test_forged_unsat_portfolio_recovers;
         Alcotest.test_case "forged unsat without witness stays safe" `Quick
           test_forged_unsat_without_witness;
         Alcotest.test_case "cdcl raise contained" `Quick
@@ -361,8 +365,8 @@ let tests =
           (test_raise_contained "dpll.solve" B.dpll);
         Alcotest.test_case "bnb raise contained" `Quick
           (test_raise_contained "bnb.solve" B.ilp_exact);
-        Alcotest.test_case "raise: chain falls through" `Quick
-          test_raise_chain_falls_through;
+        Alcotest.test_case "raise: portfolio survives" `Quick
+          test_raise_portfolio_survives;
         Alcotest.test_case "cdcl burn degrades" `Quick
           (test_burn_degrades "cdcl.solve" B.cdcl);
         Alcotest.test_case "bnb burn degrades" `Quick

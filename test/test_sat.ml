@@ -47,7 +47,7 @@ let brute_sat f =
 
 let prop_dpll_correct =
   QCheck.Test.make ~name:"dpll = brute force" ~count:300 arb_formula (fun f ->
-      match Ec_sat.Dpll.solve f with
+      match (Ec_sat.Dpll.solve_response f).outcome with
       | O.Sat a -> A.satisfies a f
       | O.Unsat -> not (brute_sat f)
       | O.Unknown _ -> false)
@@ -58,26 +58,26 @@ let test_dpll_budget () =
       (List.init 60 (fun i -> [ 1 + (i mod 20); -(1 + ((i + 7) mod 20)); 1 + ((i + 13) mod 20) ]))
   in
   match
-    Ec_sat.Dpll.solve
+    (Ec_sat.Dpll.solve_response
       ~options:{ Ec_sat.Dpll.budget = Ec_util.Budget.create ~nodes:1 () }
-      f
+      f).outcome
   with
   | O.Unknown _ -> ()
   | O.Sat _ | O.Unsat -> Alcotest.fail "1-node budget must give Unknown"
 
 let test_dpll_trivial () =
   check Alcotest.string "empty formula" "sat"
-    (O.to_string (Ec_sat.Dpll.solve (F.of_lists ~num_vars:3 [])));
+    (O.to_string (Ec_sat.Dpll.solve_response (F.of_lists ~num_vars:3 [])).outcome);
   check Alcotest.string "empty clause" "unsat"
-    (O.to_string (Ec_sat.Dpll.solve (F.create ~num_vars:1 [ C.make [] ])))
+    (O.to_string (Ec_sat.Dpll.solve_response (F.create ~num_vars:1 [ C.make [] ])).outcome)
 
 (* ---- Cdcl ---- *)
 
 let prop_cdcl_matches_dpll =
   QCheck.Test.make ~name:"cdcl = dpll on random formulas" ~count:300 arb_formula
     (fun f ->
-      let d = Ec_sat.Dpll.solve f in
-      let c = Ec_sat.Cdcl.solve_formula f in
+      let d = (Ec_sat.Dpll.solve_response f).outcome in
+      let c = (Ec_sat.Cdcl.solve_response f).outcome in
       match (d, c) with
       | O.Sat a, O.Sat b -> A.satisfies a f && A.satisfies b f
       | O.Unsat, O.Unsat -> true
@@ -86,9 +86,9 @@ let prop_cdcl_matches_dpll =
 let test_cdcl_units_and_conflict_at_load () =
   let f = F.of_lists ~num_vars:2 [ [ 1 ]; [ -1 ] ] in
   check Alcotest.string "contradicting units" "unsat"
-    (O.to_string (Ec_sat.Cdcl.solve_formula f));
+    (O.to_string (Ec_sat.Cdcl.solve_response f).outcome);
   let f2 = F.of_lists ~num_vars:2 [ [ 1 ]; [ -1; 2 ] ] in
-  (match Ec_sat.Cdcl.solve_formula f2 with
+  (match (Ec_sat.Cdcl.solve_response f2).outcome with
   | O.Sat a ->
     check Alcotest.bool "unit propagated" true (A.value a 1 = A.True);
     check Alcotest.bool "implied" true (A.value a 2 = A.True)
@@ -96,13 +96,13 @@ let test_cdcl_units_and_conflict_at_load () =
 
 let test_cdcl_assumptions () =
   let f = F.of_lists ~num_vars:3 [ [ 1; 2 ]; [ -1; 3 ] ] in
-  (match Ec_sat.Cdcl.solve ~assumptions:[ -2 ] f with
-  | O.Sat a, _ ->
+  (match (Ec_sat.Cdcl.solve_response ~assumptions:[ -2 ] f).outcome with
+  | O.Sat a ->
     check Alcotest.bool "assumption respected" true (A.value a 2 = A.False);
     check Alcotest.bool "forced v1" true (A.value a 1 = A.True)
   | _ -> Alcotest.fail "sat under ~v2");
-  (match Ec_sat.Cdcl.solve ~assumptions:[ 1; -3 ] f with
-  | O.Unsat, _ -> ()
+  (match (Ec_sat.Cdcl.solve_response ~assumptions:[ 1; -3 ] f).outcome with
+  | O.Unsat -> ()
   | _ -> Alcotest.fail "v1 & ~v3 contradicts (-1,3)")
 
 let prop_cdcl_assumptions_consistent =
@@ -110,9 +110,9 @@ let prop_cdcl_assumptions_consistent =
     (fun f ->
       let n = F.num_vars f in
       let a1 = 1 and a2 = -(min n 2) in
-      let with_assumptions = fst (Ec_sat.Cdcl.solve ~assumptions:[ a1; a2 ] f) in
+      let with_assumptions = (Ec_sat.Cdcl.solve_response ~assumptions:[ a1; a2 ] f).outcome in
       let with_units =
-        Ec_sat.Cdcl.solve_formula (F.add_clauses f [ C.make [ a1 ]; C.make [ a2 ] ])
+        (Ec_sat.Cdcl.solve_response (F.add_clauses f [ C.make [ a1 ]; C.make [ a2 ] ])).outcome
       in
       match (with_assumptions, with_units) with
       | O.Sat _, O.Sat _ | O.Unsat, O.Unsat -> true
@@ -139,18 +139,20 @@ let test_cdcl_conflict_budget () =
   in
   let f = php 6 in
   (match
-     Ec_sat.Cdcl.solve_formula
-       ~options:
-         { Ec_sat.Cdcl.default_options with
-           budget = Ec_util.Budget.create ~conflicts:5 ()
-         }
-       f
+     (Ec_sat.Cdcl.solve_response
+        ~options:
+          { Ec_sat.Cdcl.default_options with
+            budget = Ec_util.Budget.create ~conflicts:5 ()
+          }
+        f)
+       .Ec_sat.Cdcl.outcome
    with
   | O.Unknown _ -> ()
   | O.Sat _ -> Alcotest.fail "php is unsat"
   | O.Unsat -> Alcotest.fail "5 conflicts cannot refute php6");
   (* and without budget it refutes it *)
-  check Alcotest.string "php6 unsat" "unsat" (O.to_string (Ec_sat.Cdcl.solve_formula f))
+  check Alcotest.string "php6 unsat" "unsat"
+    (O.to_string (Ec_sat.Cdcl.solve_response f).outcome)
 
 let test_cdcl_phase_hint () =
   (* on an unconstrained instance the hint is reproduced exactly *)
@@ -160,9 +162,9 @@ let test_cdcl_phase_hint () =
   let g = F.create ~num_vars:6 [] in
   let hint = A.of_list 6 [ (1, true); (2, false); (3, true); (4, true); (5, false); (6, false) ] in
   match
-    Ec_sat.Cdcl.solve_formula
+    (Ec_sat.Cdcl.solve_response
       ~options:{ Ec_sat.Cdcl.default_options with phase_hint = Some hint }
-      g
+      g).outcome
   with
   | O.Sat a ->
     List.iter
@@ -181,7 +183,7 @@ let test_cdcl_large_planted () =
     if A.satisfies_clause planted c then c else clause ()
   in
   let f = F.create ~num_vars:n (List.init (4 * n) (fun _ -> clause ())) in
-  match Ec_sat.Cdcl.solve_formula f with
+  match (Ec_sat.Cdcl.solve_response f).outcome with
   | O.Sat a -> check Alcotest.bool "model valid" true (A.satisfies a f)
   | _ -> Alcotest.fail "planted instance is satisfiable"
 
@@ -214,7 +216,7 @@ let prop_at_most_sound =
           let assumptions =
             List.map (fun v -> if A.value a v = A.True then v else -v) lits
           in
-          let outcome = fst (Ec_sat.Cdcl.solve ~assumptions f) in
+          let outcome = (Ec_sat.Cdcl.solve_response ~assumptions f).outcome in
           if cnt <= k then O.is_sat outcome else not (O.is_sat outcome))
         (all_assignments 1 (A.make (max n (enc.next_var - 1)))))
 
@@ -241,7 +243,7 @@ let test_at_least_exactly () =
   let cases = [ ([ 1; 2; -3; -4 ], true); ([ 1; -2; -3; -4 ], false); ([ 1; 2; 3; -4 ], false) ] in
   List.iter
     (fun (assumptions, expected) ->
-      let outcome = fst (Ec_sat.Cdcl.solve ~assumptions f) in
+      let outcome = (Ec_sat.Cdcl.solve_response ~assumptions f).outcome in
       check Alcotest.bool (String.concat "," (List.map string_of_int assumptions))
         expected (O.is_sat outcome))
     cases;
@@ -261,7 +263,7 @@ let test_minimize_keeps_satisfaction () =
 let prop_minimize_sound =
   QCheck.Test.make ~name:"recover_dc preserves satisfaction, never loses DCs"
     ~count:300 arb_formula (fun f ->
-      match Ec_sat.Cdcl.solve_formula f with
+      match (Ec_sat.Cdcl.solve_response f).outcome with
       | O.Sat a ->
         let m = Ec_sat.Minimize.recover_dc f a in
         A.satisfies m f && A.dc_count m >= A.dc_count a
@@ -271,7 +273,7 @@ let prop_minimize_sound =
 let prop_minimize_orders_agree_on_soundness =
   QCheck.Test.make ~name:"recover_dc orders both sound" ~count:150 arb_formula
     (fun f ->
-      match Ec_sat.Cdcl.solve_formula f with
+      match (Ec_sat.Cdcl.solve_response f).outcome with
       | O.Sat a ->
         let m1 = Ec_sat.Minimize.recover_dc ~order:Ec_sat.Minimize.Ascending_vars f a in
         let m2 =

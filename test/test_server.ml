@@ -8,7 +8,7 @@ let check = Alcotest.check
 
 let qtest = QCheck_alcotest.to_alcotest
 
-module J = Ec_server.Json
+module J = Ec_util.Json
 module Wire = Ec_server.Wire
 module Session = Ec_server.Session
 module Watchdog = Ec_server.Watchdog
@@ -211,7 +211,7 @@ let prop_session_add_remove_equals_scratch =
       let mirror = ref f0 in
       let sound () =
         let r = Session.solve ~budget:(unlimited ()) s in
-        match (r.Session.outcome, Ec_sat.Cdcl.solve_formula !mirror) with
+        match (r.Session.outcome, (Ec_sat.Cdcl.solve_response !mirror).outcome) with
         | O.Sat _, O.Sat _ -> r.Session.certified
         | O.Unsat, O.Unsat -> true
         | _, _ -> false

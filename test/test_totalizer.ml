@@ -22,7 +22,7 @@ let test_outputs_count () =
       let assumptions =
         List.mapi (fun i b -> if b then i + 1 else -(i + 1)) pattern
       in
-      match fst (Ec_sat.Cdcl.solve ~assumptions f) with
+      match (Ec_sat.Cdcl.solve_response ~assumptions f).outcome with
       | O.Sat a ->
         let count = List.length (List.filter Fun.id pattern) in
         List.iteri
@@ -71,8 +71,8 @@ let prop_agrees_with_sequential =
       in
       List.for_all
         (fun assumptions ->
-          let a = O.is_sat (fst (Ec_sat.Cdcl.solve ~assumptions f_tot)) in
-          let b = O.is_sat (fst (Ec_sat.Cdcl.solve ~assumptions f_seq)) in
+          let a = O.is_sat ((Ec_sat.Cdcl.solve_response ~assumptions f_tot).outcome) in
+          let b = O.is_sat ((Ec_sat.Cdcl.solve_response ~assumptions f_seq).outcome) in
           a = b)
         (patterns 1 []))
 
@@ -114,10 +114,10 @@ let prop_incremental_equals_fresh =
               (fun pat ->
                 let count = List.length (List.filter (fun l -> l > 0) pat) in
                 let inc_sat =
-                  O.is_sat (fst (Ec_sat.Cdcl.solve ~assumptions:(cap :: pat) f_inc))
+                  O.is_sat ((Ec_sat.Cdcl.solve_response ~assumptions:(cap :: pat) f_inc).outcome)
                 in
                 let fresh_sat =
-                  O.is_sat (fst (Ec_sat.Cdcl.solve ~assumptions:pat f_fresh))
+                  O.is_sat ((Ec_sat.Cdcl.solve_response ~assumptions:pat f_fresh).outcome)
                 in
                 if inc_sat <> fresh_sat || fresh_sat <> (count <= c) then ok := false)
               all_patterns
