@@ -8,6 +8,10 @@ let make n =
   if n < 0 then invalid_arg "Assignment.make";
   Array.make (n + 1) Dc
 
+let init n f =
+  if n < 0 then invalid_arg "Assignment.init";
+  Array.init (n + 1) (fun v -> if v = 0 then Dc else f v)
+
 let num_vars t = Array.length t - 1
 
 let check t v =

@@ -16,6 +16,12 @@ val value_to_string : value -> string
 val make : int -> t
 (** All-DC assignment over [n] variables. *)
 
+val init : int -> (int -> value) -> t
+(** [init n f] assigns [f v] to each variable [v] in [1..n], calling
+    [f] in ascending order, in one O(n) allocation.  Build a model with
+    this, not by a loop of {!set}.
+    @raise Invalid_argument if [n < 0]. *)
+
 val of_list : int -> (int * bool) list -> t
 (** [of_list n bindings] assigns each listed variable; unlisted
     variables are DC.
@@ -32,7 +38,8 @@ val value : t -> int -> value
 (** @raise Invalid_argument if the variable is out of range. *)
 
 val set : t -> int -> value -> t
-(** Functional update. *)
+(** Functional update: copies the whole assignment, so it is O(n).
+    A loop of [set] over n variables is O(n²); use {!init}. *)
 
 val lit_true : t -> Lit.t -> bool
 (** Is the literal satisfied?  DC literals are not satisfied. *)

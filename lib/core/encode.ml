@@ -68,17 +68,14 @@ let lit_var t l =
 let assignment_of_point t point =
   if Array.length point < 2 * t.n then
     invalid_arg "Encode.assignment_of_point: point too short";
-  let a = ref (Ec_cnf.Assignment.make t.n) in
-  for v = 1 to t.n do
-    let p = point.(v - 1) > 0.5 and q = point.(t.n + v - 1) > 0.5 in
-    match (p, q) with
-    | true, true ->
-      invalid_arg (Printf.sprintf "Encode.assignment_of_point: both phases of v%d" v)
-    | true, false -> a := Ec_cnf.Assignment.set !a v Ec_cnf.Assignment.True
-    | false, true -> a := Ec_cnf.Assignment.set !a v Ec_cnf.Assignment.False
-    | false, false -> ()
-  done;
-  !a
+  Ec_cnf.Assignment.init t.n (fun v ->
+      let p = point.(v - 1) > 0.5 and q = point.(t.n + v - 1) > 0.5 in
+      match (p, q) with
+      | true, true ->
+        invalid_arg (Printf.sprintf "Encode.assignment_of_point: both phases of v%d" v)
+      | true, false -> Ec_cnf.Assignment.True
+      | false, true -> Ec_cnf.Assignment.False
+      | false, false -> Ec_cnf.Assignment.Dc)
 
 let point_of_assignment t a =
   let point = Array.make (Ec_ilp.Model.num_vars t.model) 0.0 in

@@ -305,39 +305,27 @@ let sat_encoding ?(objective = `Indicators) pins ~compared f ~reference =
   let next_var = d_base + !d_count + 1 in
   let d_lits = List.rev !d_lits in
   let decode a =
-    let out = ref (Ec_cnf.Assignment.make n) in
-    for v = 1 to n do
-      let p = Ec_cnf.Assignment.value a (pos v) = Ec_cnf.Assignment.True in
-      let q = Ec_cnf.Assignment.value a (neg v) = Ec_cnf.Assignment.True in
-      let value =
+    Ec_cnf.Assignment.init n (fun v ->
+        let p = Ec_cnf.Assignment.value a (pos v) = Ec_cnf.Assignment.True in
+        let q = Ec_cnf.Assignment.value a (neg v) = Ec_cnf.Assignment.True in
         match (p, q) with
         | true, false -> Ec_cnf.Assignment.True
         | false, true -> Ec_cnf.Assignment.False
         | false, false -> Ec_cnf.Assignment.Dc
-        | true, true -> assert false (* excluded by the exclusion clause *)
-      in
-      out := Ec_cnf.Assignment.set !out v value
-    done;
-    !out
+        | true, true -> assert false (* excluded by the exclusion clause *))
   in
-  (* Warm start every CDCL call toward the reference: phase variables
-     agreeing with it saved as the preferred polarity. *)
+  (* Warm start every CDCL call toward the reference: a phase variable
+     is preferred true exactly when the reference selects that phase;
+     indicators are left DC. *)
   let phase_hint =
-    let h = ref (Ec_cnf.Assignment.make (next_var - 1)) in
-    for v = 1 to n do
-      let set var value = h := Ec_cnf.Assignment.set !h var value in
-      match reference_value reference v with
-      | Ec_cnf.Assignment.True ->
-        set (pos v) Ec_cnf.Assignment.True;
-        set (neg v) Ec_cnf.Assignment.False
-      | Ec_cnf.Assignment.False ->
-        set (pos v) Ec_cnf.Assignment.False;
-        set (neg v) Ec_cnf.Assignment.True
-      | Ec_cnf.Assignment.Dc ->
-        set (pos v) Ec_cnf.Assignment.False;
-        set (neg v) Ec_cnf.Assignment.False
-    done;
-    !h
+    Ec_cnf.Assignment.init (next_var - 1) (fun x ->
+        if x > d_base then Ec_cnf.Assignment.Dc
+        else
+          let v, phase =
+            if x <= n then (x, Ec_cnf.Assignment.True) else (x - n, Ec_cnf.Assignment.False)
+          in
+          if reference_value reference v = phase then Ec_cnf.Assignment.True
+          else Ec_cnf.Assignment.False)
   in
   { e_hard = Ec_cnf.Formula.create ~num_vars:(next_var - 1) (!base @ !d_clauses);
     e_d_lits = d_lits;

@@ -51,7 +51,7 @@ type response = {
 
 let lit_of_dimacs l = if l > 0 then 2 * (l - 1) else (2 * (-l - 1)) + 1
 
-let dimacs_of_var v = v + 1
+let var_of_dimacs x = x - 1
 
 let dimacs_of_lit l = if l land 1 = 0 then (l lsr 1) + 1 else -((l lsr 1) + 1)
 
@@ -543,18 +543,14 @@ let search s (options : options) ~check assumptions =
   done;
   match !result with Some r -> r | None -> assert false
 
-let extract_assignment s =
-  let a = ref (Ec_cnf.Assignment.make s.nvars) in
-  for v = 0 to s.nvars - 1 do
-    let value =
+(* The model over DIMACS variables [1..nvars], [nvars <= s.nvars]. *)
+let extract_assignment s nvars =
+  Ec_cnf.Assignment.init nvars (fun x ->
+      let v = var_of_dimacs x in
       match s.assigns.(v) with
       | 1 -> Ec_cnf.Assignment.True
       | 0 -> Ec_cnf.Assignment.False
-      | _ -> if s.phase.(v) then Ec_cnf.Assignment.True else Ec_cnf.Assignment.False
-    in
-    a := Ec_cnf.Assignment.set !a (dimacs_of_var v) value
-  done;
-  !a
+      | _ -> if s.phase.(v) then Ec_cnf.Assignment.True else Ec_cnf.Assignment.False)
 
 let stats_of s =
   { decisions = s.stat_decisions;
@@ -589,7 +585,7 @@ let solve_response ?(options = default_options) ?(assumptions = []) formula =
     if !contradiction then (Outcome.Unsat, Ec_util.Budget.Completed)
     else
       match search s options ~check assumptions with
-      | R_sat -> (Outcome.Sat (extract_assignment s), Ec_util.Budget.Completed)
+      | R_sat -> (Outcome.Sat (extract_assignment s s.nvars), Ec_util.Budget.Completed)
       | R_unsat _ -> (Outcome.Unsat, Ec_util.Budget.Completed)
       | R_unknown r -> (Outcome.Unknown r, r)
   in
@@ -705,13 +701,8 @@ module Session = struct
       in
       match result with
       | R_sat ->
-        (* Restrict the capacity-wide model to the named variables. *)
-        let full = extract_assignment t.s in
-        let a = ref (Ec_cnf.Assignment.make t.logical_nvars) in
-        for v = 1 to t.logical_nvars do
-          a := Ec_cnf.Assignment.set !a v (Ec_cnf.Assignment.value full v)
-        done;
-        { outcome = Outcome.Sat !a; core = []; counters }
+        (* The model covers the named variables, not the capacity. *)
+        { outcome = Outcome.Sat (extract_assignment t.s t.logical_nvars); core = []; counters }
       | R_unsat core ->
         if assumptions = [] then t.dead <- true;
         { outcome = Outcome.Unsat; core = List.map dimacs_of_lit core; counters }

@@ -113,12 +113,10 @@ let solve_response ?(options = default_options) formula =
     else
       match search initial [] with
       | Some trail ->
+        (* an assigned literal leaves every clause, so each variable
+           is on the trail at most once *)
         let a =
-          List.fold_left
-            (fun a l ->
-              A.set a (Ec_cnf.Lit.var l)
-                (if Ec_cnf.Lit.is_positive l then A.True else A.False))
-            (A.make n) trail
+          A.of_list n (List.map (fun l -> (Ec_cnf.Lit.var l, Ec_cnf.Lit.is_positive l)) trail)
         in
         (Outcome.Sat a, Ec_util.Budget.Completed)
       | None -> (Outcome.Unsat, Ec_util.Budget.Completed)

@@ -128,11 +128,9 @@ let solve ?(options = default_options) ~soft hard =
   (* Session models range over every variable the session has seen
      (totalizer outputs included); callers get the hard formula's. *)
   let restrict a =
-    let out = ref (Ec_cnf.Assignment.make nvars) in
-    for v = 1 to min nvars (Ec_cnf.Assignment.num_vars a) do
-      out := Ec_cnf.Assignment.set !out v (Ec_cnf.Assignment.value a v)
-    done;
-    !out
+    let width = Ec_cnf.Assignment.num_vars a in
+    Ec_cnf.Assignment.init nvars (fun v ->
+        if v <= width then Ec_cnf.Assignment.value a v else Ec_cnf.Assignment.Dc)
   in
   let finish verdict =
     { verdict;

@@ -327,7 +327,15 @@ let reconstruct (r : result) a =
       (fun m -> function Fixed (v, _) -> max m v | Eliminated (v, _) -> max m v)
       (Ec_cnf.Assignment.num_vars a) r.steps
   in
-  let a = ref (Ec_cnf.Assignment.extend a n) in
+  let width = Ec_cnf.Assignment.num_vars a in
+  let values =
+    Array.init (n + 1) (fun v ->
+        if v >= 1 && v <= width then Ec_cnf.Assignment.value a v else Ec_cnf.Assignment.Dc)
+  in
+  let lit_true l =
+    values.(Ec_cnf.Lit.var l)
+    = if Ec_cnf.Lit.is_positive l then Ec_cnf.Assignment.True else Ec_cnf.Assignment.False
+  in
   (* steps are reverse chronological: the head is the last
      simplification performed, which is exactly the first one to
      undo. *)
@@ -335,23 +343,14 @@ let reconstruct (r : result) a =
     (fun step ->
       match step with
       | Fixed (v, b) ->
-        a :=
-          Ec_cnf.Assignment.set !a v
-            (if b then Ec_cnf.Assignment.True else Ec_cnf.Assignment.False)
+        values.(v) <- (if b then Ec_cnf.Assignment.True else Ec_cnf.Assignment.False)
       | Eliminated (v, saved) ->
-        let satisfied_with value =
-          let trial = Ec_cnf.Assignment.set !a v value in
-          List.for_all
-            (fun lits -> List.exists (Ec_cnf.Assignment.lit_true trial) lits)
-            saved
-        in
-        let value =
-          if satisfied_with Ec_cnf.Assignment.True then Ec_cnf.Assignment.True
-          else Ec_cnf.Assignment.False
-        in
-        a := Ec_cnf.Assignment.set !a v value)
+        (* true unless that leaves one of v's saved clauses unsatisfied *)
+        values.(v) <- Ec_cnf.Assignment.True;
+        if not (List.for_all (List.exists lit_true) saved) then
+          values.(v) <- Ec_cnf.Assignment.False)
     r.steps;
-  !a
+  Ec_cnf.Assignment.init n (fun v -> values.(v))
 
 let solve_with_preprocessing ?options formula =
   match simplify formula with

@@ -186,6 +186,25 @@ let test_assignment_extend () =
   Alcotest.check_raises "shrink" (Invalid_argument "Assignment.extend: shrinking")
     (fun () -> ignore (A.extend a 1))
 
+let test_assignment_init () =
+  check Alcotest.int "init 0 is empty" 0 (A.num_vars (A.init 0 (fun _ -> A.True)));
+  Alcotest.check_raises "negative width" (Invalid_argument "Assignment.init") (fun () ->
+      ignore (A.init (-1) (fun _ -> A.True)))
+
+(* [init] builds in one pass exactly what a loop of [set] builds. *)
+let prop_init_is_set_fold =
+  let value = QCheck.Gen.oneofl [ A.True; A.False; A.Dc ] in
+  QCheck.Test.make ~name:"init n f = fold set over 1..n" ~count:200
+    (QCheck.make QCheck.Gen.(array_size (int_bound 40) value))
+    (fun values ->
+      let n = Array.length values in
+      let f v = values.(v - 1) in
+      let folded = ref (A.make n) in
+      for v = 1 to n do
+        folded := A.set !folded v (f v)
+      done;
+      A.equal (A.init n f) !folded)
+
 (* ---- Dimacs ---- *)
 
 let test_dimacs_roundtrip () =
@@ -374,7 +393,9 @@ let tests =
         Alcotest.test_case "satisfies" `Quick test_assignment_satisfies;
         Alcotest.test_case "preserved" `Quick test_assignment_preserved;
         Alcotest.test_case "merge" `Quick test_assignment_merge;
-        Alcotest.test_case "extend" `Quick test_assignment_extend ] );
+        Alcotest.test_case "extend" `Quick test_assignment_extend;
+        Alcotest.test_case "init" `Quick test_assignment_init;
+        qtest prop_init_is_set_fold ] );
     ( "cnf.dimacs",
       [ Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
         Alcotest.test_case "parser quirks" `Quick test_dimacs_parse_quirks;

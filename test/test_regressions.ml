@@ -12,7 +12,11 @@
    R3 — the preprocessor eliminated a variable while a unit on it was
         still queued (pending units are invisible to occurrence lists),
         corrupting the resolvent set and reporting UNSAT on a
-        satisfiable formula. *)
+        satisfiable formula.
+   R4 — every SAT model was built by one [Assignment.set] per variable,
+        and each [set] copies the whole assignment, so a model over n
+        variables cost O(n²) words: 8.7 M major words per preserving-EC
+        request on f600. *)
 
 let check = Alcotest.check
 
@@ -91,6 +95,53 @@ let test_r3_pipeline_agrees () =
     (O.is_sat (Ec_sat.Preprocess.solve_with_preprocessing f)
     = O.is_sat (Ec_sat.Cdcl.solve_response f).outcome)
 
+(* R4: words allocated by [run] alone.  A full major collection
+   before each reading flushes the counters: OCaml 5 adds direct
+   major-heap allocations to them only at a major slice. *)
+let words_allocated run =
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  run ();
+  Gc.full_major ();
+  (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8)
+
+(* The satisfiable chain (x1 ∨ x2) ∧ (x2 ∨ x3) ∧ ... over n variables. *)
+let chain n = F.of_lists ~num_vars:n (List.init (n - 1) (fun i -> [ i + 1; i + 2 ]))
+
+let all_true n = A.init n (fun _ -> A.True)
+
+(* Each case prepares its input outside the measurement and returns
+   the call to measure.  From n = 500 to n = 2000 linear growth
+   multiplies the words by about 4, quadratic growth by about 16. *)
+let test_r4_models_cost_linear_words () =
+  let cases =
+    [ ("Cdcl.solve_response", fun n ->
+        let f = chain n in
+        fun () -> ignore (Ec_sat.Cdcl.solve_response f));
+      ("Incremental.solve", fun n ->
+        let s = Ec_sat.Incremental.create (chain n) in
+        fun () -> ignore (Ec_sat.Incremental.solve s));
+      ("Minimize.recover_dc", fun n ->
+        let f = chain n and a = all_true n in
+        fun () -> ignore (Ec_sat.Minimize.recover_dc f a));
+      ("Preserving.resolve Sat_maxsat", fun n ->
+        let f = chain n and reference = all_true n in
+        let engine = Ec_core.Preserving.Sat_maxsat Ec_sat.Maxsat.default_options in
+        fun () -> ignore (Ec_core.Preserving.resolve ~engine f ~reference)) ]
+  in
+  let superlinear =
+    List.filter_map
+      (fun (name, prepare) ->
+        let small = words_allocated (prepare 500) and large = words_allocated (prepare 2000) in
+        if large /. small < 6.0 then None
+        else
+          Some
+            (Printf.sprintf "%s: %.0f words at n=2000 vs %.0f at n=500 (x%.1f, want < x6)" name
+               large small (large /. small)))
+      cases
+  in
+  check (Alcotest.list Alcotest.string) "no superlinear model construction" [] superlinear
+
 let tests =
   [ ( "regressions",
       [ Alcotest.test_case "R1 assumptions at full assignment" `Quick
@@ -100,4 +151,6 @@ let tests =
         Alcotest.test_case "R2 interleaved growth" `Quick test_r2_session_interleaved;
         Alcotest.test_case "R3 preprocessor unit/elimination race" `Quick
           test_r3_preprocessor_unit_elimination_race;
-        Alcotest.test_case "R3 pipeline agreement" `Quick test_r3_pipeline_agrees ] ) ]
+        Alcotest.test_case "R3 pipeline agreement" `Quick test_r3_pipeline_agrees;
+        Alcotest.test_case "R4 models cost linear words" `Quick
+          test_r4_models_cost_linear_words ] ) ]
