@@ -103,25 +103,6 @@ cmp -s "$SERVE_OUT.healthy" "$SERVE_CHAOS_OUT.healthy" \
 rm -f "$SERVE_OUT.healthy" "$SERVE_CHAOS_OUT.healthy"
 echo "serve chaos: sick session degraded, healthy stream byte-identical"
 
-# MaxSAT smoke: the core-guided engine against the repeated-ILP
-# baseline on regenerated Table 3 trials (fixed harness seed, so the
-# numbers are reproducible).  The bench itself asserts agreement of
-# certified optima per trial; here we additionally gate on the summary
-# flags and keep BENCH_maxsat.json as a build artifact.  Scale 0.25 is
-# the smallest configuration whose instances are big enough for the
-# ≥5x re-encoding claim to hold (tiny instances amortise nothing);
-# it finishes in ~2s.
-echo "== maxsat smoke (bench --maxsat, scale 0.25) =="
-dune exec bench/main.exe -- --maxsat --skip-tables --skip-micro --skip-ablations \
-  --trials 2 --scale 0.25
-grep -q '"all_agree": true' BENCH_maxsat.json \
-  || { echo "maxsat smoke: certified optima diverged across engines"; exit 1; }
-grep -q '"meets_5x_fewer_clauses": true' BENCH_maxsat.json \
-  || { echo "maxsat smoke: re-encoding ratio fell below 5x"; exit 1; }
-grep -q '"strictly_fewer_conflicts": true' BENCH_maxsat.json \
-  || { echo "maxsat smoke: maxsat spent more conflicts than repeated ILP"; exit 1; }
-echo "maxsat smoke: BENCH_maxsat.json"
-
 # MaxSAT chaos: the "maxsat.core" failpoint corrupts the first unsat
 # core the engine extracts.  The engine must detect the impossible
 # literal and the CLI must degrade to a structured UNKNOWN (exit 0,
@@ -138,24 +119,6 @@ echo "$MAXSAT_CHAOS" | grep -q '^s UNKNOWN' \
 echo "$MAXSAT_CHAOS" | grep -q 'engine-failure(maxsat' \
   || { echo "maxsat chaos: missing structured engine-failure reason"; exit 1; }
 echo "maxsat chaos: corrupted core contained as a structured UNKNOWN"
-
-# Portfolio bench: regenerate BENCH_portfolio.json at smoke scale and
-# gate on the jobs=2 speedup — but only when the machine actually has
-# more than one core online.  On a 1-core container a jobs>1 run has
-# no parallelism underneath, the speedup column is pure scheduling
-# noise, and gating on it would fail good code; the bench records
-# cores_online exactly so this gate can see that and stand down.
-echo "== portfolio bench (--table 1 --jobs 2, speedup gate) =="
-dune exec bench/main.exe -- --table 1 --trials 2 --scale 0.25 --jobs 2
-cores_online=$(grep -o '"cores_online": *[0-9]*' BENCH_portfolio.json | grep -o '[0-9]*$')
-if [ "${cores_online:-1}" -le 1 ]; then
-  echo "portfolio bench: cores_online=${cores_online:-1} — SKIPPING speedup gate (no parallelism on this machine)"
-else
-  best=$(grep -o '"speedup": *[0-9.]*' BENCH_portfolio.json | grep -o '[0-9.]*$' | sort -g | tail -1)
-  awk -v s="${best:-0}" 'BEGIN { exit (s >= 0.8) ? 0 : 1 }' \
-    || { echo "portfolio bench: best jobs=2 speedup x$best (expected >= x0.8 with $cores_online cores online)"; exit 1; }
-  echo "portfolio bench: best jobs=2 speedup x$best (cores_online=$cores_online)"
-fi
 
 # Benchmark correctness smoke: each ecbench workload (enable, fast,
 # preserve, serve) checks every answer it timed against an independent
@@ -178,12 +141,27 @@ done
 # (bench/results.jsonl), gate each cell against the most recent cell
 # from a different commit, and append this run's cells so the store
 # keeps accumulating measurement history (once per commit: a re-run
-# skips the cells the store already holds for it).  The matrix runner itself
-# skips the wall-time gate when cores_online <= 1 (it prints the skip
+# skips the cells the store already holds for it).  A cell that is not
+# ok fails the gate even without a baseline.  The matrix runner skips
+# the wall-time gate when cores_online <= 1 (it prints the skip
 # notice); the deterministic work counters are gated unconditionally.
-echo "== benchmark matrix (--matrix, trend gate over bench/results.jsonl) =="
+# First, a scale below 1 must be rejected (exit 2) before the store is
+# touched.
+echo "== benchmark matrix (trend gate over bench/results.jsonl) =="
+STORE_BEFORE=$(mktemp /tmp/ecsat-ci-XXXXXX.jsonl)
+trap 'rm -f "$PORTFOLIO_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF" "$STORE_BEFORE"' EXIT
+cp bench/results.jsonl "$STORE_BEFORE"
+status=0
+SCALES_ERR=$(dune exec bench/main.exe -- --matrix-scales 0,-3 --store bench/results.jsonl \
+  2>&1 >/dev/null) || status=$?
+[ "$status" -eq 2 ] || { echo "matrix: --matrix-scales 0,-3 expected exit 2, got $status"; exit 1; }
+echo "$SCALES_ERR" | grep -q -- '--matrix-scales' \
+  || { echo "matrix: the rejection does not name --matrix-scales"; exit 1; }
+cmp -s "$STORE_BEFORE" bench/results.jsonl \
+  || { echo "matrix: a rejected --matrix-scales changed the store"; exit 1; }
+echo "matrix: --matrix-scales 0,-3 rejected (exit 2), store unchanged"
 matrix_commit=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
-dune exec bench/main.exe -- --matrix --matrix-scales 24 \
+dune exec bench/main.exe -- --matrix-scales 24 \
   --store bench/results.jsonl --commit "$matrix_commit"
 echo "matrix: cells appended to bench/results.jsonl at commit $matrix_commit"
 

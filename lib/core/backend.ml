@@ -411,32 +411,9 @@ type portfolio_response = {
   reports : racer_report list;
 }
 
-(* Engine-win histogram across the process, for the bench harness:
-   which portfolio member actually answers, per workload. *)
-let wins_lock = Mutex.create ()
-
-(* eclint: allow DS001 — guarded by [wins_lock]: record_win and
-   win_histogram are the only accessors and both take the lock *)
-let win_counts : (string, int) Hashtbl.t = Hashtbl.create 7
-
 let record_win engine =
-  Mutex.lock wins_lock;
-  Hashtbl.replace win_counts engine
-    (1 + Option.value ~default:0 (Hashtbl.find_opt win_counts engine));
-  Mutex.unlock wins_lock;
   if Ec_util.Metrics.enabled () then
     Ec_util.Metrics.incr (Ec_util.Metrics.counter ("portfolio.wins." ^ engine))
-
-let wins () =
-  Mutex.lock wins_lock;
-  let l = Hashtbl.fold (fun k v acc -> (k, v) :: acc) win_counts [] in
-  Mutex.unlock wins_lock;
-  List.sort compare l
-
-let reset_wins () =
-  Mutex.lock wins_lock;
-  Hashtbl.reset win_counts;
-  Mutex.unlock wins_lock
 
 (* Diversified CDCL configurations: distinct seeds, decay rates and
    restart cadences make racers explore different parts of the search

@@ -165,9 +165,3 @@ val solve_portfolio :
     affects the others' race.  If no racer is decisive, the response
     reports the most informative loser (preferring a real exhaustion
     over [Cancelled]).  An empty list means [[cdcl]]. *)
-
-val wins : unit -> (string * int) list
-(** Process-wide engine-win histogram (sorted by engine name):
-    incremented each time a portfolio race has a winner. *)
-
-val reset_wins : unit -> unit

@@ -2,23 +2,24 @@
     persistent append-only results store and a trend-over-commits
     regression gate.
 
-    Every benchmark number the documentation cites is one {!cell} of
-    this matrix, keyed by the commit it was measured at, the engine
-    config's {!Ec_core.Engine_config.digest}, the scenario name, the
-    scale and the machine's online core count.  Cells append to a
-    JSONL store ([bench/results.jsonl] in the repository) — never
-    overwritten, so the store is the measurement history and the gate
-    can compare any commit against the most recent prior one.
+    Every engine-comparison and ablation number the documentation
+    cites is one {!cell} of this matrix, keyed by the commit it was
+    measured at, the engine config's {!Ec_core.Engine_config.digest},
+    the scenario name, the scale and the machine's online core count.
+    Cells append to a JSONL store ([bench/results.jsonl] in the
+    repository) — never overwritten, so the store is the measurement
+    history and the gate can compare any commit against the most
+    recent prior one.
 
     Determinism contract: a scenario run is budgeted by {e work}
-    dimensions only (conflicts, nodes, iterations — never wall time),
-    and its stream workloads only ever {e add} clauses satisfied by
-    the planted assignment, so the instance stays satisfiable at every
-    step and the work counters of two runs of the same (digest,
-    scenario, scale) on the same commit are bit-identical
-    single-threaded.  Wall time is recorded but is the only
-    hardware-sensitive column; the gate skips it on unsuitable hosts
-    (see {!gate_options.gate_wall}). *)
+    dimensions only (conflicts, nodes, iterations — never wall time)
+    and draws every change from a fixed seed, and its stream workloads
+    only ever {e add} clauses satisfied by the planted assignment, so
+    the instance stays satisfiable at every step.  The work counters
+    of two runs of the same (digest, scenario, scale) on the same
+    commit are bit-identical single-threaded.  Wall time is recorded
+    but is the only hardware-sensitive column; the gate skips it on
+    unsuitable hosts (see {!gate}). *)
 
 (** {2 Cells} *)
 
@@ -33,7 +34,9 @@ type cell = {
   ok : bool;             (** scenario-level success (e.g. all steps Sat) *)
   work : (string * int) list;
       (** deterministic work counters, name to value, in a fixed
-          order (conflicts, decisions, pivots, restarts, iterations) *)
+          order: (conflicts, decisions, pivots, restarts, iterations)
+          for solve scenarios, scenario-specific counts for the
+          ablations *)
   wall_s : float;        (** the one hardware-sensitive column *)
 }
 
@@ -67,9 +70,6 @@ type scenario
 val scenario_name : scenario -> string
 (** The name cells record in their [scenario] column. *)
 
-val scenario_doc : scenario -> string
-(** One-line description of the workload. *)
-
 val builtins : scenario list
 (** The in-library scenario families:
 
@@ -82,15 +82,28 @@ val builtins : scenario list
       Feasibility backends only.
     - ["lp"] — deterministic random feasible bounded LPs solved with
       the simplex engine; the [simplex] config's scenario.
+    - ["optimize"] — one B&B optimization-mode solve of [jnh201]
+      (ablations A1–A3); every [bnb] config.  Adds a [capped] count.
+    - ["warmstart"] — cold vs phase-hinted CDCL vs optimal preserving
+      EC after a Table 3 change to [jnh201], and DC recovery's gain
+      (A4, A6).
+    - ["cone"] — fast-EC cone variables from an enabled vs a plain
+      initial solution of [f600] (A5).
+    - ["incremental"] — 25 clause additions to [jnh1] absorbed by
+      scratch CDCL, one incremental session, and fast-EC cones (A8).
+    - ["preprocess"] — [ii8b2] solved by CDCL with and without
+      {!Ec_sat.Preprocess} (A9).
 
-    The serve-session scenario lives in [bench/main.ml] (registered
-    via {!custom}) because the harness does not link the server. *)
+    The last four pair with the default [cdcl] config only.  The
+    serve-session scenario lives in [bench/main.ml] (registered via
+    {!custom}) because the harness does not link the server. *)
 
-val find : string -> scenario list -> scenario option
-(** Look up by name in [builtins @ registered]. *)
+val default_engines : string list
+(** The engine configs the matrix runs when none are named: one per
+    engine, plus the three B&B ablations of ["optimize"]. *)
 
 val custom :
-  name:string -> doc:string ->
+  name:string ->
   run:(engine:Ec_core.Engine_config.t -> scale:int -> (bool * (string * int) list) option) ->
   scenario
 (** A caller-supplied scenario; [run] returns [None] when the engine
@@ -109,38 +122,23 @@ val run_cell : commit:string -> scenario -> Ec_core.Engine_config.t -> scale:int
 
 (** {2 The regression gate} *)
 
-type gate_options = {
-  work_tolerance : float;
-      (** a deterministic work counter may grow to
-          [baseline * work_tolerance + 64] before failing *)
-  wall_tolerance : float;
-      (** wall time may grow to [baseline * wall_tolerance + 0.5] s *)
-  gate_wall : bool;
-      (** gate wall time at all — callers turn this off when
-          [cores_online <= 1] (a serialized portfolio makes wall time
-          meaningless) or when baseline and current cells disagree on
-          [cores_online] *)
-}
-
-val default_gate_options : gate_options
-(** [work_tolerance = 1.5], [wall_tolerance = 2.0], [gate_wall = true]. *)
-
 type verdict = {
   cell : cell;
   baseline : cell option;
       (** the most recent stored cell with the same (digest, scenario,
           scale) from a {e different} commit; [None] means nothing to
-          compare against (the cell passes vacuously) *)
+          compare against *)
   passed : bool;
   notes : string list;
       (** human-readable reasons: failures, and skips (no baseline,
           wall gate off) *)
 }
 
-val gate : ?options:gate_options -> baseline:cell list -> cell list -> verdict list
+val gate : baseline:cell list -> cell list -> verdict list
 (** Judge each current cell against the store.  Failure conditions:
-    an [ok] regression ([true] in the baseline, [false] now), a work
-    counter beyond tolerance, or — when [gate_wall] and both cells
-    agree on [cores_online] — wall time beyond tolerance.  Wall
-    comparisons across differing [cores_online] are skipped with a
-    note regardless of [gate_wall]. *)
+    the cell is not [ok] (with or without a baseline), a work counter
+    beyond [baseline * 1.5 + 64], or wall time beyond
+    [baseline * 2.0 + 0.5] s.  The wall comparison is skipped with a
+    note when the cells disagree on [cores_online] or the cell was
+    measured with [cores_online <= 1], where a serialized portfolio
+    makes wall time meaningless. *)

@@ -14,9 +14,9 @@
 (** Which engine Table 3's preserving re-solves use.  [Tiered] is the
     historical assignment — the §7 ILP objective on the [Exact] tier,
     the CDCL cardinality search on the [Heuristic] tier; the forced
-    choices run one engine across both tiers, which is how the bench
-    compares core-guided MaxSAT against the exact ILP on identical
-    trials ([ecsat tables --engine], BENCH_maxsat.json). *)
+    choices run one engine across both tiers, which is how
+    [ecsat tables --engine] compares core-guided MaxSAT against the
+    exact ILP on identical trials. *)
 type preserving_choice = Tiered | Forced_ilp | Forced_maxsat
 
 type config = {

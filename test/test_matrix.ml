@@ -1,6 +1,6 @@
 (* The benchmark matrix: cell JSON round-trip, the append-only store,
-   gate semantics (ok / work / wall, cores_online-aware skip), and one
-   real cell run end to end. *)
+   gate semantics (ok / work / wall, cores_online-aware skip), and
+   every builtin scenario run twice end to end. *)
 
 module M = Ec_harness.Matrix
 module EC = Ec_core.Engine_config
@@ -85,6 +85,12 @@ let gate_no_baseline_passes () =
   | [ v ] -> Alcotest.(check bool) "vacuous pass" true (v.M.passed && v.M.baseline = None)
   | _ -> Alcotest.fail "one verdict expected"
 
+let gate_not_ok_without_baseline_fails () =
+  match M.gate ~baseline:[] [ cell ~ok:false () ] with
+  | [ v ] ->
+    Alcotest.(check bool) "a failed cell fails the gate on its first run" false v.M.passed
+  | _ -> Alcotest.fail "one verdict expected"
+
 let gate_picks_latest_other_commit () =
   let baseline =
     [ cell ~commit:"old" ~work:[ ("conflicts", 1) ] ();
@@ -114,54 +120,70 @@ let gate_work_regression_fails () =
   | _ -> Alcotest.fail "one verdict expected"
 
 let gate_wall_semantics () =
-  let baseline = [ cell ~commit:"base" ~wall:1.0 () ] in
-  let slow = cell ~commit:"cur" ~wall:10.0 () in
-  (* gated when cores agree and the wall gate is on *)
+  let baseline = [ cell ~commit:"base" ~cores:2 ~wall:1.0 () ] in
+  let slow = cell ~commit:"cur" ~cores:2 ~wall:10.0 () in
+  (* gated when both cells saw the same cores_online > 1 *)
   (match M.gate ~baseline [ slow ] with
   | [ v ] -> Alcotest.(check bool) "wall regression gated" false v.M.passed
   | _ -> Alcotest.fail "one verdict expected");
-  (* caller-disabled (the 1-core CI path): passes with a note *)
+  (* a 1-core host: passes with a note *)
   (match
-     M.gate ~options:{ M.default_gate_options with gate_wall = false } ~baseline [ slow ]
+     M.gate
+       ~baseline:[ cell ~commit:"base" ~wall:1.0 () ]
+       [ cell ~commit:"cur" ~wall:10.0 () ]
    with
   | [ v ] ->
     Alcotest.(check bool) "skip note" true
       (v.M.passed && List.exists (fun n -> String.length n > 0) v.M.notes)
   | _ -> Alcotest.fail "one verdict expected");
-  (* differing cores_online: skipped regardless of gate_wall *)
+  (* differing cores_online: skipped *)
   match M.gate ~baseline [ { slow with M.cores_online = 8 } ] with
   | [ v ] -> Alcotest.(check bool) "cross-hardware wall skipped" true v.M.passed
   | _ -> Alcotest.fail "one verdict expected"
 
 let run_cell_deterministic () =
-  let stream =
-    match M.find "stream" M.builtins with
+  let scenario name =
+    match List.find_opt (fun s -> M.scenario_name s = name) M.builtins with
     | Some s -> s
-    | None -> Alcotest.fail "stream scenario missing"
+    | None -> Alcotest.failf "%s scenario missing" name
   in
+  let stream = scenario "stream" in
   let engine = Result.get_ok (EC.default "cdcl") in
   let run () =
     match M.run_cell ~commit:"t" stream engine ~scale:20 with
     | Some c -> c
     | None -> Alcotest.fail "cdcl x stream should be supported"
   in
-  let c1 = run () and c2 = run () in
+  let c1 = run () in
   Alcotest.(check bool) "scenario succeeds" true c1.M.ok;
   Alcotest.(check bool) "work counters present" true (List.mem_assoc "conflicts" c1.M.work);
-  (* the determinism contract the store's keying relies on *)
-  List.iter2
-    (fun (k1, v1) (k2, v2) ->
-      Alcotest.(check string) "same counter" k1 k2;
-      Alcotest.(check int) ("deterministic " ^ k1) v1 v2)
-    c1.M.work c2.M.work;
+  (* the determinism contract the store's keying relies on: every
+     builtin scenario, twice, under each default config it pairs with *)
+  let engines = List.map (fun s -> Result.get_ok (EC.parse s)) M.default_engines in
+  List.iter
+    (fun sc ->
+      let paired =
+        List.filter
+          (fun engine ->
+            match M.run_cell ~commit:"t" sc engine ~scale:16 with
+            | None -> false
+            | Some c1 ->
+              let c2 = Option.get (M.run_cell ~commit:"t" sc engine ~scale:16) in
+              Alcotest.(check (list (pair string int)))
+                (Printf.sprintf "%s x %s deterministic" c1.M.scenario c1.M.config)
+                c1.M.work c2.M.work;
+              true)
+          engines
+      in
+      Alcotest.(check bool)
+        (M.scenario_name sc ^ " pairs with a default config")
+        true (paired <> []))
+    M.builtins;
   (* simplex pairs with lp, not with the SAT scenarios *)
   let simplex = Result.get_ok (EC.default "simplex") in
   Alcotest.(check bool) "simplex x stream unsupported" true
     (M.run_cell ~commit:"t" stream simplex ~scale:20 = None);
-  let lp =
-    match M.find "lp" M.builtins with Some s -> s | None -> Alcotest.fail "lp missing"
-  in
-  match M.run_cell ~commit:"t" lp simplex ~scale:12 with
+  match M.run_cell ~commit:"t" (scenario "lp") simplex ~scale:12 with
   | Some c -> Alcotest.(check bool) "lp solves to optimal" true c.M.ok
   | None -> Alcotest.fail "simplex x lp should be supported"
 
@@ -173,6 +195,8 @@ let tests =
         Alcotest.test_case "store keeps one cell per key" `Quick store_skips_stored_keys;
         Alcotest.test_case "unwritable store is an Error" `Quick unwritable_store;
         Alcotest.test_case "gate: no baseline passes" `Quick gate_no_baseline_passes;
+        Alcotest.test_case "gate: not-ok cell fails without baseline" `Quick
+          gate_not_ok_without_baseline_fails;
         Alcotest.test_case "gate: latest other-commit baseline" `Quick
           gate_picks_latest_other_commit;
         Alcotest.test_case "gate: ok regression fails" `Quick gate_ok_regression_fails;

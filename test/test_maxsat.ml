@@ -1,6 +1,7 @@
 (* Tests for Ec_sat.Maxsat: certified optima against brute force,
    deterministic work counters, budget truncation with an incumbent,
-   and the corrupted-core containment drill. *)
+   the corrupted-core containment drill, and the work comparison
+   against repeated ILP on Table 3 trials. *)
 
 let check = Alcotest.check
 
@@ -157,6 +158,77 @@ let test_certify_rejects_forged () =
     | Ok () -> Alcotest.fail "forged optimum slipped through check_maxsat")
   | _ -> Alcotest.fail "optimum expected"
 
+(* ---- engine shootout on Table 3 trials ---- *)
+
+(* Core-guided MaxSAT against the exact ILP objective (the optimum
+   reference) and the repeated-ILP baseline, which probes the same
+   objective as decision ILPs and re-encodes the whole model per
+   probe.  Two trials per exact-tier instance at scale 0.25 (the
+   smallest size where the re-encoding gap reaches 5x), with a heavier
+   change script than Table 3's (±8 vars, ±14 clauses) so that trials
+   break enough old values to cost something.  Work-only budgets make
+   every total reproducible. *)
+let test_shootout_vs_repeated_ilp () =
+  let module P = Ec_harness.Protocol in
+  let module Pres = Ec_core.Preserving in
+  let config =
+    { P.default_config with
+      scale = 0.25;
+      trials = 2;
+      budget = Ec_util.Budget.create ~nodes:5_000_000 () }
+  in
+  let satisfiable f =
+    let options =
+      { Ec_sat.Cdcl.default_options with
+        budget = Ec_util.Budget.create ~conflicts:200_000 () }
+    in
+    match (Ec_sat.Cdcl.solve_response ~options f).Ec_sat.Cdcl.outcome with
+    | Ec_sat.Outcome.Sat _ -> true
+    | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ -> false
+  in
+  let trials =
+    List.concat_map
+      (fun (inst : Ec_instances.Registry.instance) ->
+        match P.initial_solve config inst with
+        | None | Some { P.certified = false; _ } ->
+          Alcotest.failf "%s: no certified initial solution" inst.spec.name
+        | Some { P.assignment = a0; _ } ->
+          let rng = Ec_util.Rng.create (config.P.seed + 17) in
+          List.init config.P.trials (fun _ ->
+              let script =
+                Ec_cnf.Change.preserving_ec_script ~satisfiable rng inst.formula
+                  ~reference:a0 ~add_vars:8 ~del_vars:8 ~add_clauses:14 ~del_clauses:14
+                  ~clause_width:3
+              in
+              let f' = Ec_cnf.Change.apply_script inst.formula script in
+              let reference = A.extend a0 (F.num_vars f') in
+              let resolve engine = Pres.resolve ~engine ~budget:config.P.budget f' ~reference in
+              ( resolve (Pres.Sat_maxsat { M.default_options with budget = config.P.budget }),
+                resolve (Pres.Ilp_objective (P.bnb_options config)),
+                resolve (Pres.Ilp_iterative (P.bnb_options config)) )))
+      (List.filter (fun i -> not (P.is_heuristic_tier i)) (P.instances config))
+  in
+  let total f = List.fold_left (fun acc t -> acc + f t) 0 trials in
+  let enc_max = total (fun (m, _, _) -> m.Pres.work.Pres.clauses_encoded)
+  and enc_iter = total (fun (_, _, i) -> i.Pres.work.Pres.clauses_encoded)
+  and conf_max = total (fun (m, _, _) -> m.Pres.counters.Ec_util.Budget.spent_conflicts)
+  and conf_iter = total (fun (_, _, i) -> i.Pres.counters.Ec_util.Budget.spent_conflicts) in
+  let totals =
+    Printf.sprintf
+      "clauses encoded: maxsat %d, repeated ILP %d; conflicts: maxsat %d, repeated ILP %d"
+      enc_max enc_iter conf_max conf_iter
+  in
+  check Alcotest.int "16 trials" 16 (List.length trials);
+  check Alcotest.bool "every engine proves the same optimum" true
+    (List.for_all
+       (fun ((m : Pres.result), (o : Pres.result), (i : Pres.result)) ->
+         m.optimal && o.optimal && i.optimal && m.preserved = o.preserved
+         && o.preserved = i.preserved)
+       trials);
+  check Alcotest.bool ("at least 5x fewer clauses encoded — " ^ totals) true
+    (enc_iter >= 5 * enc_max);
+  check Alcotest.bool ("strictly fewer conflicts — " ^ totals) true (conf_max < conf_iter)
+
 (* ---- properties ---- *)
 
 let clause_gen max_vars =
@@ -210,4 +282,6 @@ let tests =
           test_corrupt_core_contained;
         Alcotest.test_case "certify rejects forged" `Quick
           test_certify_rejects_forged;
+        Alcotest.test_case "shootout vs repeated ILP" `Quick
+          test_shootout_vs_repeated_ilp;
         qtest prop_optimum_matches_brute ] ) ]
