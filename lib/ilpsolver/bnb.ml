@@ -67,9 +67,21 @@ exception Out_of_budget of Ec_util.Budget.reason
 
 type state = {
   sys : Rows.t;
+  ub : float array;           (* per row, [sys.rows.(r).ub] *)
   value : int array;          (* -1 unfixed, 0, 1 *)
   minact : float array;       (* per row, given current fixings *)
   maxact : float array;
+  (* A row is active while [maxact > ub + eps], i.e. while some
+     completion of the current point could still violate it.  The flag,
+     the count and the per-variable counts below always equal a recount
+     from [maxact]; [fix] and [unfix] move them when a row crosses. *)
+  active : bool array;
+  mutable nactive : int;
+  neg_active : int array;     (* per variable: active rows where its coefficient is < 0 *)
+  nonneg_active : int array;  (* ... and where it is >= 0 *)
+  dirty : int array;          (* propagation FIFO of row indices *)
+  mutable dirty_head : int;
+  mutable dirty_tail : int;
   trail : int array;          (* fixed variables in order *)
   mutable trail_len : int;
   mutable fixed_cost : float;
@@ -87,10 +99,27 @@ type state = {
   mutable tie_rng : Ec_util.Rng.t option;
 }
 
+(* Row [r] crossed the activity threshold: flip its flag and move the
+   counts of every variable in it. *)
+let toggle_active st r =
+  let row = st.sys.Rows.rows.(r) in
+  let d = if st.active.(r) then -1 else 1 in
+  st.active.(r) <- not st.active.(r);
+  st.nactive <- st.nactive + d;
+  for k = 0 to Array.length row.Rows.vars - 1 do
+    let v = row.Rows.vars.(k) in
+    if row.Rows.coeffs.(k) < 0.0 then st.neg_active.(v) <- st.neg_active.(v) + d
+    else st.nonneg_active.(v) <- st.nonneg_active.(v) + d
+  done
+
+let update_active st r =
+  if (st.maxact.(r) > st.ub.(r) +. eps) <> st.active.(r) then toggle_active st r
+
 (* eclint: allow BP001 — placeholder gauge on an unlimited budget;
    solve re-arms the real gauge and owns the Budget.check polls *)
 let make_state sys =
   let nrows = Array.length sys.Rows.rows in
+  let nnz = sys.Rows.occ_start.(sys.Rows.nvars) in
   let minact = Array.make nrows 0.0 in
   let maxact = Array.make nrows 0.0 in
   Array.iteri
@@ -99,38 +128,59 @@ let make_state sys =
       maxact.(r) <- Array.fold_left (fun acc c -> acc +. Float.max 0.0 c) 0.0 row.Rows.coeffs)
     sys.Rows.rows;
   let free_neg_sum = Array.fold_left (fun acc c -> acc +. Float.min 0.0 c) 0.0 sys.Rows.obj in
-  { sys;
-    value = Array.make sys.Rows.nvars (-1);
-    minact;
-    maxact;
-    trail = Array.make (max sys.Rows.nvars 1) 0;
-    trail_len = 0;
-    fixed_cost = 0.0;
-    free_neg_sum;
-    incumbent = None;
-    incumbent_obj = infinity;
-    nodes = 0;
-    conflicts = 0;
-    propagated_fixes = 0;
-    lp_calls = 0;
-    lp_prunes = 0;
-    budget = Ec_util.Budget.unlimited;
-    gauge = Ec_util.Budget.start Ec_util.Budget.unlimited;
-    tie_rng = None }
+  let st =
+    { sys;
+      ub = Array.map (fun row -> row.Rows.ub) sys.Rows.rows;
+      value = Array.make sys.Rows.nvars (-1);
+      minact;
+      maxact;
+      active = Array.make nrows false;
+      nactive = 0;
+      neg_active = Array.make sys.Rows.nvars 0;
+      nonneg_active = Array.make sys.Rows.nvars 0;
+      (* A propagation pushes at most every row (the root) plus the
+         occurrences of each variable it fixes, each fixed once. *)
+      dirty = Array.make (max (nrows + nnz) 1) 0;
+      dirty_head = 0;
+      dirty_tail = 0;
+      trail = Array.make (max sys.Rows.nvars 1) 0;
+      trail_len = 0;
+      fixed_cost = 0.0;
+      free_neg_sum;
+      incumbent = None;
+      incumbent_obj = infinity;
+      nodes = 0;
+      conflicts = 0;
+      propagated_fixes = 0;
+      lp_calls = 0;
+      lp_prunes = 0;
+      budget = Ec_util.Budget.unlimited;
+      gauge = Ec_util.Budget.start Ec_util.Budget.unlimited;
+      tie_rng = None }
+  in
+  for r = 0 to nrows - 1 do
+    update_active st r
+  done;
+  st
+
+let push_dirty st r =
+  st.dirty.(st.dirty_tail) <- r;
+  st.dirty_tail <- st.dirty_tail + 1
 
 (* Fixing a variable updates row activities and the objective
-   bookkeeping; [dirty] collects rows to re-examine. *)
-let fix st dirty v b =
+   bookkeeping, and queues its rows for re-examination. *)
+let fix st v b =
   st.value.(v) <- b;
   st.trail.(st.trail_len) <- v;
   st.trail_len <- st.trail_len + 1;
   let fb = float_of_int b in
-  List.iter
-    (fun (r, c) ->
-      st.minact.(r) <- st.minact.(r) +. ((fb *. c) -. Float.min 0.0 c);
-      st.maxact.(r) <- st.maxact.(r) +. ((fb *. c) -. Float.max 0.0 c);
-      Queue.push r dirty)
-    st.sys.Rows.occ.(v);
+  for p = st.sys.Rows.occ_start.(v) to st.sys.Rows.occ_start.(v + 1) - 1 do
+    let r = st.sys.Rows.occ_row.(p) and c = st.sys.Rows.occ_coeff.(p) in
+    st.minact.(r) <- st.minact.(r) +. ((fb *. c) -. Float.min 0.0 c);
+    st.maxact.(r) <- st.maxact.(r) +. ((fb *. c) -. Float.max 0.0 c);
+    update_active st r;
+    push_dirty st r
+  done;
   let oc = st.sys.Rows.obj.(v) in
   st.fixed_cost <- st.fixed_cost +. (fb *. oc);
   st.free_neg_sum <- st.free_neg_sum -. Float.min 0.0 oc
@@ -139,11 +189,12 @@ let unfix st v =
   let b = st.value.(v) in
   st.value.(v) <- -1;
   let fb = float_of_int b in
-  List.iter
-    (fun (r, c) ->
-      st.minact.(r) <- st.minact.(r) -. ((fb *. c) -. Float.min 0.0 c);
-      st.maxact.(r) <- st.maxact.(r) -. ((fb *. c) -. Float.max 0.0 c))
-    st.sys.Rows.occ.(v);
+  for p = st.sys.Rows.occ_start.(v) to st.sys.Rows.occ_start.(v + 1) - 1 do
+    let r = st.sys.Rows.occ_row.(p) and c = st.sys.Rows.occ_coeff.(p) in
+    st.minact.(r) <- st.minact.(r) -. ((fb *. c) -. Float.min 0.0 c);
+    st.maxact.(r) <- st.maxact.(r) -. ((fb *. c) -. Float.max 0.0 c);
+    update_active st r
+  done;
   let oc = st.sys.Rows.obj.(v) in
   st.fixed_cost <- st.fixed_cost -. (fb *. oc);
   st.free_neg_sum <- st.free_neg_sum +. Float.min 0.0 oc
@@ -155,40 +206,33 @@ let backtrack st mark =
   done
 
 (* Propagate to fixpoint from the dirty rows.  @raise Conflict. *)
-let propagate st dirty =
-  while not (Queue.is_empty dirty) do
-    let r = Queue.pop dirty in
+let propagate st =
+  while st.dirty_head < st.dirty_tail do
+    let r = st.dirty.(st.dirty_head) in
+    st.dirty_head <- st.dirty_head + 1;
     let row = st.sys.Rows.rows.(r) in
-    let slack = row.Rows.ub -. st.minact.(r) in
+    let slack = st.ub.(r) -. st.minact.(r) in
     if slack < -.eps then begin
       st.conflicts <- st.conflicts + 1;
       raise Conflict
     end;
-    if st.maxact.(r) > row.Rows.ub +. eps then
+    if st.active.(r) then
       (* Row still active: look for forced variables. *)
-      Array.iteri
-        (fun k v ->
-          if st.value.(v) = -1 then begin
-            let c = row.Rows.coeffs.(k) in
-            if c > slack +. eps then begin
-              st.propagated_fixes <- st.propagated_fixes + 1;
-              fix st dirty v 0
-            end
-            else if -.c > slack +. eps then begin
-              st.propagated_fixes <- st.propagated_fixes + 1;
-              fix st dirty v 1
-            end
-          end)
-        row.Rows.vars
+      for k = 0 to Array.length row.Rows.vars - 1 do
+        let v = row.Rows.vars.(k) in
+        if st.value.(v) = -1 then begin
+          let c = row.Rows.coeffs.(k) in
+          if c > slack +. eps then begin
+            st.propagated_fixes <- st.propagated_fixes + 1;
+            fix st v 0
+          end
+          else if -.c > slack +. eps then begin
+            st.propagated_fixes <- st.propagated_fixes + 1;
+            fix st v 1
+          end
+        end
+      done
   done
-
-let all_rows_inactive st =
-  let n = Array.length st.sys.Rows.rows in
-  let rec loop r =
-    r >= n
-    || (st.maxact.(r) <= st.sys.Rows.rows.(r).Rows.ub +. eps && loop (r + 1))
-  in
-  loop 0
 
 (* Complete the current partial point greedily by objective sign; only
    valid when every row is inactive (any completion is feasible). *)
@@ -206,67 +250,43 @@ let record_incumbent st point =
   end
 
 (* Branching variable: lowest index or most occurrences in active
-   rows.  Returns the variable and the value to try first (the value
-   deactivating more rows, objective sign as tie-break). *)
+   rows, or -1 when every variable is fixed.  Optional randomized
+   tie-breaking jitters scores below their granularity, so only exact
+   ties are reshuffled. *)
 let pick_branch st branching =
-  let nrows = Array.length st.sys.Rows.rows in
-  let active = Array.make nrows false in
-  for r = 0 to nrows - 1 do
-    active.(r) <- st.maxact.(r) > st.sys.Rows.rows.(r).Rows.ub +. eps
-  done;
-  let best_var = ref (-1) in
-  let best_score = ref (-1) in
-  let pos_help = ref 0 and neg_help = ref 0 in
-  let consider v =
-    if st.value.(v) = -1 then begin
-      let score = ref 0 and ph = ref 0 and nh = ref 0 in
-      List.iter
-        (fun (r, c) ->
-          if active.(r) then begin
-            incr score;
-            (* Setting v=1 lowers maxact when c<0 (helps satisfy the
-               row); setting v=0 lowers it when c>0. *)
-            if c < 0.0 then incr ph else incr nh
-          end)
-        st.sys.Rows.occ.(v);
-      (* Optional randomized tie-breaking: jitter below the score
-         granularity so only exact ties are reshuffled. *)
-      let score =
-        match st.tie_rng with
-        | None -> ref (!score * 8)
-        | Some rng -> ref ((!score * 8) + Ec_util.Rng.int rng 8)
-      in
-      if !score > !best_score then begin
-        best_score := !score;
-        best_var := v;
-        pos_help := !ph;
-        neg_help := !nh
-      end
-    end
-  in
-  (match branching with
+  let nvars = st.sys.Rows.nvars in
+  match branching with
   | First_unfixed ->
-    let rec first v =
-      if v >= st.sys.Rows.nvars then ()
-      else if st.value.(v) = -1 then consider v
-      else first (v + 1)
-    in
-    first 0
+    let v = ref 0 in
+    while !v < nvars && st.value.(!v) <> -1 do
+      incr v
+    done;
+    if !v < nvars then !v else -1
   | Most_constrained ->
-    for v = 0 to st.sys.Rows.nvars - 1 do
-      consider v
-    done);
-  if !best_var = -1 then None
-  else begin
-    let v = !best_var in
-    let first_value =
-      if !pos_help > !neg_help then 1
-      else if !pos_help < !neg_help then 0
-      else if st.sys.Rows.obj.(v) > 0.0 then 0
-      else 1
-    in
-    Some (v, first_value)
-  end
+    let best_var = ref (-1) and best_score = ref (-1) in
+    for v = 0 to nvars - 1 do
+      if st.value.(v) = -1 then begin
+        let score = (st.neg_active.(v) + st.nonneg_active.(v)) * 8 in
+        let score =
+          match st.tie_rng with None -> score | Some rng -> score + Ec_util.Rng.int rng 8
+        in
+        if score > !best_score then begin
+          best_score := score;
+          best_var := v
+        end
+      end
+    done;
+    !best_var
+
+(* The value to try first: the one deactivating more rows (setting v=1
+   lowers maxact where its coefficient is negative, v=0 where it is
+   positive), objective sign as tie-break. *)
+let first_value st v =
+  let one_helps = st.neg_active.(v) and zero_helps = st.nonneg_active.(v) in
+  if one_helps > zero_helps then 1
+  else if one_helps < zero_helps then 0
+  else if st.sys.Rows.obj.(v) > 0.0 then 0
+  else 1
 
 (* LP bound of the current node: relax free variables to [0,1] with
    fixed values substituted.  Returns [None] when the node survives,
@@ -284,7 +304,7 @@ let lp_prune st =
   let rows = ref [] in
   Array.iteri
     (fun r row ->
-      if st.maxact.(r) > row.Rows.ub +. eps then begin
+      if st.active.(r) then begin
         (* rhs minus contribution of fixed vars *)
         let rhs = ref row.Rows.ub in
         let terms = ref [] in
@@ -342,7 +362,7 @@ let rec search st options ~stop_at_first ~depth =
   (* Objective bound from fixed cost plus the best the free vars can do. *)
   let lower = st.fixed_cost +. st.free_neg_sum in
   if lower >= st.incumbent_obj -. eps then ()
-  else if options.greedy_completion && all_rows_inactive st then begin
+  else if options.greedy_completion && st.nactive = 0 then begin
     record_incumbent st (greedy_completion st);
     if stop_at_first then raise Exit
   end
@@ -351,8 +371,8 @@ let rec search st options ~stop_at_first ~depth =
     && lp_prune st
   then ()
   else
-    match pick_branch st options.branching with
-    | None ->
+    let v = pick_branch st options.branching in
+    if v < 0 then begin
       (* All variables fixed and some row active: propagation has
          already verified minact <= ub on every dirty row, but an
          untouched active row with all vars fixed means its activity is
@@ -362,21 +382,25 @@ let rec search st options ~stop_at_first ~depth =
         record_incumbent st point;
         if stop_at_first then raise Exit
       end
-    | Some (v, first_value) ->
-      let try_value b =
-        let mark = st.trail_len in
-        let dirty = Queue.create () in
-        match
-          fix st dirty v b;
-          propagate st dirty
-        with
-        | () ->
-          search st options ~stop_at_first ~depth:(depth + 1);
-          backtrack st mark
-        | exception Conflict -> backtrack st mark
-      in
-      try_value first_value;
-      try_value (1 - first_value)
+    end
+    else begin
+      let b = first_value st v in
+      try_value st options ~stop_at_first ~depth v b;
+      try_value st options ~stop_at_first ~depth v (1 - b)
+    end
+
+and try_value st options ~stop_at_first ~depth v b =
+  let mark = st.trail_len in
+  st.dirty_head <- 0;
+  st.dirty_tail <- 0;
+  match
+    fix st v b;
+    propagate st
+  with
+  | () ->
+    search st options ~stop_at_first ~depth:(depth + 1);
+    backtrack st mark
+  | exception Conflict -> backtrack st mark
 
 (* Chaos-test failpoint payloads ({!Ec_util.Fault}): one flipped entry
    of the solution point, or a forged infeasibility verdict. *)
@@ -407,9 +431,10 @@ let run ?(options = default_options) ~stop_at_first model =
   | None -> ());
   let complete, reason =
     (* Root propagation: every row starts dirty. *)
-    let dirty = Queue.create () in
-    Array.iteri (fun r _ -> Queue.push r dirty) sys.Rows.rows;
-    match propagate st dirty with
+    for r = 0 to Array.length sys.Rows.rows - 1 do
+      push_dirty st r
+    done;
+    match propagate st with
     | () -> (
       match search st options ~stop_at_first ~depth:0 with
       | () -> (true, Ec_util.Budget.Completed)

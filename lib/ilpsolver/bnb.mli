@@ -9,7 +9,10 @@
     - objective-based pruning against the incumbent,
     - optional LP-relaxation bounding via {!Ec_simplex.Simplex} near
       the top of the tree,
-    - selectable branching and value-ordering heuristics.
+    - selectable branching and value-ordering heuristics, read from
+      active-row counts that fixing and unfixing keep current, so a
+      node costs what its fixes touch rather than a pass over every
+      row (DESIGN.md §4).
 
     When the search completes, the result status is [Optimal] (or
     [Infeasible]); when a node/time limit interrupts it, the best

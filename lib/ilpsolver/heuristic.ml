@@ -105,13 +105,15 @@ let recompute s =
 let flip_delta s v =
   let cur = s.point.(v) in
   let d = if cur = 0 then 1.0 else -1.0 in
-  List.fold_left
-    (fun acc (r, c) ->
-      let ub = s.sys.Rows.rows.(r).Rows.ub in
-      let before = Float.max 0.0 (s.act.(r) -. ub) in
-      let after = Float.max 0.0 (s.act.(r) +. (d *. c) -. ub) in
-      acc +. (after -. before))
-    0.0 s.sys.Rows.occ.(v)
+  let acc = ref 0.0 in
+  for p = s.sys.Rows.occ_start.(v) to s.sys.Rows.occ_start.(v + 1) - 1 do
+    let r = s.sys.Rows.occ_row.(p) in
+    let ub = s.sys.Rows.rows.(r).Rows.ub in
+    let before = Float.max 0.0 (s.act.(r) -. ub) in
+    let after = Float.max 0.0 (s.act.(r) +. (d *. s.sys.Rows.occ_coeff.(p)) -. ub) in
+    acc := !acc +. (after -. before)
+  done;
+  !acc
 
 let do_flip s v =
   let cur = s.point.(v) in
@@ -119,11 +121,11 @@ let do_flip s v =
   s.point.(v) <- 1 - cur;
   s.flip_count <- s.flip_count + 1;
   s.last_flip.(v) <- s.flip_count;
-  List.iter
-    (fun (r, c) ->
-      s.act.(r) <- s.act.(r) +. (d *. c);
-      if violation s r > eps then mark_violated s r else unmark_violated s r)
-    s.sys.Rows.occ.(v)
+  for p = s.sys.Rows.occ_start.(v) to s.sys.Rows.occ_start.(v + 1) - 1 do
+    let r = s.sys.Rows.occ_row.(p) in
+    s.act.(r) <- s.act.(r) +. (d *. s.sys.Rows.occ_coeff.(p));
+    if violation s r > eps then mark_violated s r else unmark_violated s r
+  done
 
 let random_point rng s =
   for v = 0 to Array.length s.point - 1 do

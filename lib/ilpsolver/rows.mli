@@ -2,7 +2,7 @@
 
     Both the branch-and-bound and the heuristic solver want the same
     view of a model: every constraint as [Σ ci·xi <= ub] over binary
-    variables only, with per-variable occurrence lists and a minimize
+    variables only, with per-variable occurrence arrays and a minimize
     objective.  [Ge] rows are negated, [Eq] rows split in two,
     [Maximize] objectives negated; constant parts are folded into the
     right-hand sides. *)
@@ -17,8 +17,18 @@ type row = {
 type t = {
   nvars : int;
   rows : row array;
-  occ : (int * float) list array;
-      (** per variable: (row index, coefficient) pairs *)
+  occ_start : int array;
+      (** length [nvars + 1]: variable [v]'s occurrences are the
+          positions [occ_start.(v)] to [occ_start.(v + 1) - 1] of
+          [occ_row] and [occ_coeff] *)
+  occ_row : int array;  (** row index of each occurrence *)
+  occ_coeff : float array;
+      (** the variable's coefficient in that row.  Within one
+          variable the rows run in descending index order.  Branch and
+          bound pushes a fixed variable's rows onto its propagation
+          queue in this order, so the order in which forced variables
+          are found, and with it [propagated_fixes] and the point
+          returned, depend on it. *)
   obj : float array;    (** minimize Σ obj.(i)·xi + obj_const *)
   obj_const : float;
   flip_objective : bool;

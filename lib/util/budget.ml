@@ -116,7 +116,9 @@ let consume t c =
 type gauge = {
   limit : t;
   started : float;
-  deadline : float;  (* absolute; [infinity] when no time allowance *)
+  deadline : float;
+      (* absolute; [infinity] when no time allowance, [neg_infinity]
+         when the allowance is zero or negative *)
   mutable ticks : int;
 }
 
@@ -126,7 +128,11 @@ let start t =
   let now = Unix.gettimeofday () in
   { limit = t;
     started = now;
-    deadline = (match t.time_s with None -> infinity | Some s -> now +. s);
+    deadline =
+      (match t.time_s with
+      | None -> infinity
+      | Some s when s <= 0.0 -> neg_infinity
+      | Some s -> now +. s);
     ticks = -1 }
 
 let elapsed_s g = Unix.gettimeofday () -. g.started

@@ -152,7 +152,9 @@ val check :
     exhausted dimension.  A limit of [n] allows exactly [n] units, so
     a budget of 0 trips on the first unit of work.  The deadline is
     consulted at most once per {!tick_granularity} calls (and on the
-    first), so overshoot is bounded by one coarse tick. *)
+    first), so overshoot is bounded by one coarse tick.  A zero or
+    negative time allowance expires at the first check, however
+    little time has passed since {!start}. *)
 
 val tick_granularity : int
 (** Number of {!check} calls between wall-clock reads. *)

@@ -239,10 +239,25 @@ let test_flow_budget_fallback () =
     (* only acceptable if the cone was already satisfied without solving *)
     check reason "deadline" Bu.Deadline u.Ec_core.Flow.reason
 
+(* A zero allowance must expire even when the first check reads the
+   same clock value [start] read. *)
+let test_zero_allowance_first_check () =
+  let running = ref 0 in
+  for _ = 1 to 10_000 do
+    match Bu.check (Bu.start (Bu.of_time 0.0)) with
+    | Some Bu.Deadline -> ()
+    | _ -> incr running
+  done;
+  check Alcotest.int "fresh zero-allowance gauges not expired at the first check" 0 !running;
+  check (Alcotest.option reason) "negative allowance" (Some Bu.Deadline)
+    (Bu.check (Bu.start (Bu.of_time (-1.0))))
+
 let tests =
   [ ( "budget.record",
       [ Alcotest.test_case "create/combine" `Quick test_create_combine;
         Alcotest.test_case "consume" `Quick test_consume;
+        Alcotest.test_case "zero allowance expires at the first check" `Quick
+          test_zero_allowance_first_check;
         Alcotest.test_case "cancellation flag" `Quick test_cancel_flag ] );
     ( "budget.engines",
       [ Alcotest.test_case "cdcl reasons" `Quick test_cdcl_reasons;

@@ -277,6 +277,128 @@ let test_rows_normalization () =
   check Alcotest.bool "point infeasible" false (R.point_feasible sys [| 0 |]);
   check (Alcotest.list Alcotest.int) "violated rows" [ 1 ] (R.violated_rows sys [| 0 |])
 
+(* Each variable's occurrences sit in descending row order, with the
+   coefficient of the normalized (Le) row. *)
+let test_rows_occurrences () =
+  let m = M.create () in
+  let x = M.add_var m M.Binary in
+  let y = M.add_var m M.Binary in
+  M.add_constr m (E.of_terms [ (2.0, x); (1.0, y) ]) M.Le 2.0;
+  M.add_constr m (E.of_terms [ (3.0, y) ]) M.Ge 1.0;
+  M.add_constr m (E.of_terms [ (4.0, x) ]) M.Eq 0.0;
+  let sys = R.of_model m in
+  let occ v =
+    List.init
+      (sys.R.occ_start.(v + 1) - sys.R.occ_start.(v))
+      (fun i ->
+        let p = sys.R.occ_start.(v) + i in
+        (sys.R.occ_row.(p), sys.R.occ_coeff.(p)))
+  in
+  let occs = Alcotest.(list (pair int (float 0.0))) in
+  check occs "x" [ (3, -4.0); (2, 4.0); (0, 2.0) ] (occ x);
+  check occs "y" [ (1, -3.0); (0, 1.0) ] (occ y)
+
+(* ---- B&B work, pinned ---- *)
+
+(* Four paper instances at scale 0.3, each with and without the
+   enabling rows (paper §5). *)
+let pinned_models =
+  lazy
+    (List.concat_map
+       (fun name ->
+         let f = (Ec_instances.Registry.(build (scale 0.3 (find name)))).formula in
+         let enabled = Ec_core.Encode.of_formula f in
+         ignore (Ec_core.Enabling.add Ec_core.Enabling.Constraints enabled);
+         [ (name ^ " enabled", Ec_core.Encode.model enabled);
+           (name ^ " plain", Ec_core.Encode.model (Ec_core.Encode.of_formula f)) ])
+       [ "par8-1-c"; "ii8a1"; "jnh1"; "ii8b2" ])
+
+(* A solve's work counters and a digest of its point. *)
+let work_line (r : B.response) =
+  let s = r.B.stats in
+  let point =
+    String.init (Array.length r.B.solution.S.values) (fun i ->
+        if r.B.solution.S.values.(i) > 0.5 then '1' else '0')
+  in
+  Printf.sprintf "nodes=%d conflicts=%d fixes=%d lp=%d/%d pivots=%d %s" s.B.nodes s.B.conflicts
+    s.B.propagated_fixes s.B.lp_calls s.B.lp_prunes
+    r.B.counters.Ec_util.Budget.spent_pivots
+    (Digest.to_hex (Digest.string point))
+
+(* Recorded with a B&B that recounted the active rows from scratch at
+   every node; the incremental counts must branch, propagate and land
+   on the same points.  Optimization mode under a 3 000-node cap (300
+   with LP bounding).  The first four configs are the matrix's [bnb]
+   entries; the fifth reshuffles branching ties from a seed, as the
+   Table 3 baseline does. *)
+let pinned_work =
+  [ ( "bnb",
+      [ "par8-1-c enabled: nodes=1111 conflicts=18 fixes=8203 lp=0/0 pivots=0 710c8f14e31485817fc9d50e8dba7124";
+        "par8-1-c plain: nodes=355 conflicts=16 fixes=935 lp=0/0 pivots=0 31c485e3de1204716800e13d0c9dc524";
+        "ii8a1 enabled: nodes=433 conflicts=6 fixes=6368 lp=0/0 pivots=0 0baf977564e3bb3be7ac2ce74fc6ccf7";
+        "ii8a1 plain: nodes=241 conflicts=0 fixes=576 lp=0/0 pivots=0 65ead5ed2b56a28c56f92482b45b7cc0";
+        "jnh1 enabled: nodes=3001 conflicts=196 fixes=161369 lp=0/0 pivots=0 696b9bdf940440d6ecbb722fe06692ac";
+        "jnh1 plain: nodes=3001 conflicts=36 fixes=6872 lp=0/0 pivots=0 0dee8c335ec0d0d4a7cd005a9fc73130";
+        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=64150 lp=0/0 pivots=0 5adfb767e41a3d6b53b2c1ac1ff1fec4";
+        "ii8b2 plain: nodes=3001 conflicts=0 fixes=4052 lp=0/0 pivots=0 f5b5dcf87cee76c2f311f0391bd73efc" ] );
+    ( "bnb:greedy_completion=false",
+      [ "par8-1-c enabled: nodes=2595 conflicts=18 fixes=8203 lp=0/0 pivots=0 6281da782ead72ea99bd130a6729da54";
+        "par8-1-c plain: nodes=401 conflicts=16 fixes=935 lp=0/0 pivots=0 31c485e3de1204716800e13d0c9dc524";
+        "ii8a1 enabled: nodes=803 conflicts=6 fixes=6368 lp=0/0 pivots=0 aa51804a5c70434c64d8702d4b62fd38";
+        "ii8a1 plain: nodes=257 conflicts=0 fixes=576 lp=0/0 pivots=0 65ead5ed2b56a28c56f92482b45b7cc0";
+        "jnh1 enabled: nodes=3001 conflicts=0 fixes=1805 lp=0/0 pivots=0 5890ae21f97c4fac4be7585990e47db7";
+        "jnh1 plain: nodes=3001 conflicts=35 fixes=6745 lp=0/0 pivots=0 0dee8c335ec0d0d4a7cd005a9fc73130";
+        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=3720 lp=0/0 pivots=0 b172efdded76d26f56af162879baf29c";
+        "ii8b2 plain: nodes=3001 conflicts=0 fixes=3925 lp=0/0 pivots=0 f5b5dcf87cee76c2f311f0391bd73efc" ] );
+    ( "bnb:use_lp_bounding=true,lp_max_depth=6",
+      [ "par8-1-c enabled: nodes=301 conflicts=0 fixes=557 lp=0/0 pivots=0 619dc8bac2f160c6e19189f3b2c6b2f8";
+        "par8-1-c plain: nodes=103 conflicts=0 fixes=93 lp=6/5 pivots=517 31c485e3de1204716800e13d0c9dc524";
+        "ii8a1 enabled: nodes=157 conflicts=0 fixes=1594 lp=12/9 pivots=1717 0baf977564e3bb3be7ac2ce74fc6ccf7";
+        "ii8a1 plain: nodes=81 conflicts=0 fixes=198 lp=20/13 pivots=343 65ead5ed2b56a28c56f92482b45b7cc0";
+        "jnh1 enabled: nodes=301 conflicts=0 fixes=2872 lp=0/0 pivots=0 498d3a9524aac2414d788a9f9c99926b";
+        "jnh1 plain: nodes=301 conflicts=0 fixes=354 lp=0/0 pivots=0 cf28ee93df3c4338e38d45048fb77b8b";
+        "ii8b2 enabled: nodes=301 conflicts=0 fixes=4766 lp=0/0 pivots=0 d62c10e7e62d5eb66e4c2380bdabaded";
+        "ii8b2 plain: nodes=301 conflicts=0 fixes=319 lp=0/0 pivots=0 f5b5dcf87cee76c2f311f0391bd73efc" ] );
+    ( "bnb:branching=first-unfixed",
+      [ "par8-1-c enabled: nodes=3001 conflicts=1 fixes=14898 lp=0/0 pivots=0 b2e17db70dfa6065cfa79b9826452c90";
+        "par8-1-c plain: nodes=3001 conflicts=0 fixes=2003 lp=0/0 pivots=0 4b3c7bf8a6f837860e897a64db486dae";
+        "ii8a1 enabled: nodes=2354 conflicts=1 fixes=33738 lp=0/0 pivots=0 8c8328a2c26cbc1f2479d92c0bf1bc7d";
+        "ii8a1 plain: nodes=2141 conflicts=0 fixes=3535 lp=0/0 pivots=0 d6cbe9b30705ca1c67cef345947e0f90";
+        "jnh1 enabled: nodes=3001 conflicts=37 fixes=37684 lp=0/0 pivots=0 5275f69d27caf418bf8179d327a1a314";
+        "jnh1 plain: nodes=3001 conflicts=37 fixes=6972 lp=0/0 pivots=0 76ee85202357dfcb956b73cd1325193a";
+        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=18805 lp=0/0 pivots=0 2fe06ccd6e853ae59438ea37fef9277a";
+        "ii8b2 plain: nodes=3001 conflicts=0 fixes=1292 lp=0/0 pivots=0 618a9a56a2677983808356877e154c5d" ] );
+    ( "bnb:tie_seed=7",
+      [ "par8-1-c enabled: nodes=1119 conflicts=18 fixes=8301 lp=0/0 pivots=0 92d1ee8b4a1d67408689ab435e14ffef";
+        "par8-1-c plain: nodes=321 conflicts=14 fixes=945 lp=0/0 pivots=0 31c485e3de1204716800e13d0c9dc524";
+        "ii8a1 enabled: nodes=443 conflicts=6 fixes=6451 lp=0/0 pivots=0 1aa85c1e3d6b75f98f97f5571e9e3dca";
+        "ii8a1 plain: nodes=245 conflicts=0 fixes=602 lp=0/0 pivots=0 0700aa6ea889a3b8cf558973f61b611c";
+        "jnh1 enabled: nodes=3001 conflicts=198 fixes=161518 lp=0/0 pivots=0 4ea77257c009fa0976f87ebab1f21fd3";
+        "jnh1 plain: nodes=3001 conflicts=56 fixes=6999 lp=0/0 pivots=0 5be3959947fa391b53b6f5dd3449136c";
+        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=62983 lp=0/0 pivots=0 4f29f69b9037529fd355ecc1eee9048f";
+        "ii8b2 plain: nodes=3001 conflicts=0 fixes=4374 lp=0/0 pivots=0 62d64b331d7a2db9b3b978fb58a857b8" ] ) ]
+
+let test_bnb_work_pinned (config, expected) () =
+  let options =
+    match Ec_core.Engine_config.parse config with
+    | Ok (Ec_core.Engine_config.Bnb o) -> o
+    | _ -> Alcotest.fail config
+  in
+  let cap = if options.B.use_lp_bounding then 300 else 3000 in
+  let options = { options with B.budget = Ec_util.Budget.create ~nodes:cap () } in
+  let got =
+    List.map
+      (fun (name, m) -> name ^ ": " ^ work_line (B.solve_response ~options m))
+      (Lazy.force pinned_models)
+  in
+  check (Alcotest.list Alcotest.string) config expected got
+
+let test_bnb_decision_work_pinned () =
+  let m = List.assoc "par8-1-c enabled" (Lazy.force pinned_models) in
+  check Alcotest.string "default config, decision mode"
+    "nodes=44 conflicts=0 fixes=158 lp=0/0 pivots=0 10820b34ac5f6344eb4590400b22be37"
+    (work_line (B.solve_decision_response m))
+
 let tests =
   [ ( "ilpsolver.bnb",
       [ Alcotest.test_case "knapsack" `Quick test_bnb_knapsack;
@@ -289,9 +411,16 @@ let tests =
         qtest prop_bnb_greedy_off_agrees;
         qtest prop_bnb_lp_bounding_agrees;
         qtest prop_bnb_branching_agrees ] );
+    ( "ilpsolver.bnb work",
+      List.map
+        (fun ((config, _) as pin) ->
+          Alcotest.test_case config `Quick (test_bnb_work_pinned pin))
+        pinned_work
+      @ [ Alcotest.test_case "decision mode" `Quick test_bnb_decision_work_pinned ] );
     ( "ilpsolver.heuristic",
       [ Alcotest.test_case "simple sat" `Quick test_heuristic_simple_sat;
         Alcotest.test_case "warm start" `Quick test_heuristic_warm_start;
         qtest prop_heuristic_sound ] );
     ( "ilpsolver.rows",
-      [ Alcotest.test_case "normalization" `Quick test_rows_normalization ] ) ]
+      [ Alcotest.test_case "normalization" `Quick test_rows_normalization;
+        Alcotest.test_case "occurrences" `Quick test_rows_occurrences ] ) ]

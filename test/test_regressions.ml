@@ -16,7 +16,11 @@
    R4 — every SAT model was built by one [Assignment.set] per variable,
         and each [set] copies the whole assignment, so a model over n
         variables cost O(n²) words: 8.7 M major words per preserving-EC
-        request on f600. *)
+        request on f600.
+   R5 — every branch-and-bound node rebuilt a per-row active array and
+        rescanned each variable's occurrence list to pick its branch,
+        and allocated a fresh propagation queue: 47 059 words per node
+        on the enabled jnh1 model at scale 0.3 (25 396 rows). *)
 
 let check = Alcotest.check
 
@@ -142,6 +146,43 @@ let test_r4_models_cost_linear_words () =
   in
   check (Alcotest.list Alcotest.string) "no superlinear model construction" [] superlinear
 
+(* R5: words allocated between two readings.  Arrays above 256 words
+   go straight to the major heap, so the count is minor + major −
+   promoted; the minor collection first flushes the counters. *)
+let words_now () =
+  Gc.minor ();
+  let minor, promoted, major = Gc.counters () in
+  minor +. major -. promoted
+
+(* The slope between a 1 000- and a 2 000-node cap cancels the set-up
+   (normalizing the rows, the initial activities).  A node that pays
+   for what its fixes touch allocates a small fraction of a per-row
+   array. *)
+let test_r5_bnb_node_words () =
+  let f =
+    (Ec_instances.Registry.(build (scale 0.3 (find "jnh1")))).Ec_instances.Registry.formula
+  in
+  let enc = Ec_core.Encode.of_formula f in
+  ignore (Ec_core.Enabling.add Ec_core.Enabling.Constraints enc);
+  let model = Ec_core.Encode.model enc in
+  let rows = Array.length (Ec_ilpsolver.Rows.of_model model).Ec_ilpsolver.Rows.rows in
+  let run cap =
+    let options =
+      { Ec_ilpsolver.Bnb.default_options with
+        budget = Ec_util.Budget.create ~nodes:cap () }
+    in
+    let before = words_now () in
+    let r = Ec_ilpsolver.Bnb.solve_response ~options model in
+    (words_now () -. before, r.Ec_ilpsolver.Bnb.stats.Ec_ilpsolver.Bnb.nodes)
+  in
+  let small_words, small_nodes = run 1000 in
+  let large_words, large_nodes = run 2000 in
+  check Alcotest.(pair int int) "both solves stop at their cap" (1001, 2001)
+    (small_nodes, large_nodes);
+  let per_node = (large_words -. small_words) /. float_of_int (large_nodes - small_nodes) in
+  if per_node >= float_of_int (rows / 10) then
+    Alcotest.failf "%.0f words per node on %d rows, want < %d" per_node rows (rows / 10)
+
 let tests =
   [ ( "regressions",
       [ Alcotest.test_case "R1 assumptions at full assignment" `Quick
@@ -153,4 +194,5 @@ let tests =
           test_r3_preprocessor_unit_elimination_race;
         Alcotest.test_case "R3 pipeline agreement" `Quick test_r3_pipeline_agrees;
         Alcotest.test_case "R4 models cost linear words" `Quick
-          test_r4_models_cost_linear_words ] ) ]
+          test_r4_models_cost_linear_words;
+        Alcotest.test_case "R5 B&B node words below rows/10" `Quick test_r5_bnb_node_words ] ) ]
