@@ -20,37 +20,27 @@ dune runtest
 echo "== dune runtest (chaos, ECSAT_FAULT_SEED=20020610) =="
 ECSAT_FAULT_SEED=20020610 dune runtest --force
 
-# Portfolio smoke: race four engine configurations on a regenerated
-# benchmark; exit 10 is the SAT-competition "satisfiable" code.
-echo "== portfolio smoke (ecsat solve --jobs 4) =="
-PORTFOLIO_CNF=$(mktemp /tmp/ecsat-ci-XXXXXX.cnf)
-trap 'rm -f "$PORTFOLIO_CNF"' EXIT
-dune exec bin/ecsat.exe -- gen par8-1-c -o "$PORTFOLIO_CNF"
+# Observability artifacts: one traced fast-EC change with metrics
+# armed (exit 10 is the SAT-competition "satisfiable" code).  Both files
+# are kept as build artifacts, so every CI run leaves a sample Chrome
+# trace and a solver metrics snapshot to inspect.
+echo "== observability artifacts (ecsat fast --trace/--metrics) =="
+OBS_CNF=$(mktemp /tmp/ecsat-ci-XXXXXX.cnf)
+trap 'rm -f "$OBS_CNF"' EXIT
+dune exec bin/ecsat.exe -- gen jnh1 -o "$OBS_CNF"
 status=0
-dune exec bin/ecsat.exe -- solve "$PORTFOLIO_CNF" --jobs 4 --verify || status=$?
-[ "$status" -eq 10 ] || { echo "portfolio smoke: expected exit 10, got $status"; exit 1; }
-
-# Observability artifacts: re-run the portfolio smoke with tracing and
-# metrics armed and keep both files as build artifacts, so every CI run
-# leaves a sample Chrome trace and a metrics snapshot to inspect.
-echo "== observability artifacts (--trace/--metrics) =="
-status=0
-dune exec bin/ecsat.exe -- solve "$PORTFOLIO_CNF" --jobs 2 --verify \
+dune exec bin/ecsat.exe -- fast "$OBS_CNF" -e 3 --add=1,-2,4 --verify \
   --trace TRACE_sample.json --metrics METRICS.json || status=$?
 [ "$status" -eq 10 ] || { echo "observability smoke: expected exit 10, got $status"; exit 1; }
 grep -q '"traceEvents"' TRACE_sample.json \
   || { echo "TRACE_sample.json: not a Chrome trace-event document"; exit 1; }
-grep -q '"counters"' METRICS.json \
-  || { echo "METRICS.json: missing counters section"; exit 1; }
+for span in flow.apply_change fast_ec.simplify; do
+  grep -q "\"name\":\"$span\"" TRACE_sample.json \
+    || { echo "TRACE_sample.json: no $span span"; exit 1; }
+done
+grep -q '"solve.cdcl.calls"' METRICS.json \
+  || { echo "METRICS.json: no solve.cdcl.calls counter"; exit 1; }
 echo "observability artifacts: TRACE_sample.json METRICS.json"
-
-# Portfolio chaos: one racer is killed mid-solve; the race must still
-# produce the certified answer on the surviving domain.
-echo "== portfolio chaos (one racer killed, --jobs 2) =="
-status=0
-ECSAT_FAULTS="portfolio.racer=raise:1" \
-  dune exec bin/ecsat.exe -- solve "$PORTFOLIO_CNF" --jobs 2 --verify || status=$?
-[ "$status" -eq 10 ] || { echo "portfolio chaos: expected exit 10, got $status"; exit 1; }
 
 # Serve smoke: the daemon over stdio, a two-session JSONL script with
 # a mixed op set (create/solve/pin/add-clauses/query/health), then
@@ -59,7 +49,7 @@ echo "== serve smoke (ecsat serve, stdio) =="
 SERVE_REQ=$(mktemp /tmp/ecsat-ci-XXXXXX.jsonl)
 SERVE_OUT=$(mktemp /tmp/ecsat-ci-XXXXXX.out)
 SERVE_CHAOS_OUT=$(mktemp /tmp/ecsat-ci-XXXXXX.out)
-trap 'rm -f "$PORTFOLIO_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT"' EXIT
+trap 'rm -f "$OBS_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT"' EXIT
 cat > "$SERVE_REQ" <<'EOF'
 {"op":"create-session","session":"healthy","id":1,"clauses":[[1,2],[-1,2],[1,-2]]}
 {"op":"create-session","session":"sick","id":2,"clauses":[[3,4],[-3,4],[3,-4]]}
@@ -109,7 +99,7 @@ echo "serve chaos: sick session degraded, healthy stream byte-identical"
 # never a wrong optimum).
 echo "== maxsat chaos (maxsat.core=corrupt:1) =="
 MAXSAT_CNF=$(mktemp /tmp/ecsat-ci-XXXXXX.cnf)
-trap 'rm -f "$PORTFOLIO_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF"' EXIT
+trap 'rm -f "$OBS_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF"' EXIT
 printf 'p cnf 2 1\n1 2 0\n' > "$MAXSAT_CNF"
 MAXSAT_CHAOS=$(ECSAT_FAULTS="maxsat.core=corrupt:1" \
   dune exec bin/ecsat.exe -- preserve --engine maxsat --add=-1 "$MAXSAT_CNF") || \
@@ -149,7 +139,7 @@ done
 # touched.
 echo "== benchmark matrix (trend gate over bench/results.jsonl) =="
 STORE_BEFORE=$(mktemp /tmp/ecsat-ci-XXXXXX.jsonl)
-trap 'rm -f "$PORTFOLIO_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF" "$STORE_BEFORE"' EXIT
+trap 'rm -f "$OBS_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF" "$STORE_BEFORE"' EXIT
 cp bench/results.jsonl "$STORE_BEFORE"
 status=0
 SCALES_ERR=$(dune exec bench/main.exe -- --matrix-scales 0,-3 --store bench/results.jsonl \
@@ -165,8 +155,9 @@ dune exec bench/main.exe -- --matrix-scales 24 \
   --store bench/results.jsonl --commit "$matrix_commit"
 echo "matrix: cells appended to bench/results.jsonl at commit $matrix_commit"
 
-# Static analysis, run LAST so the final METRICS.json artifact carries
-# the lint scan's own metrics (lint.duration_s and finding counts).
+# Static analysis.  The scan's own metrics (lint.duration_s and
+# finding counts) go to LINT_METRICS.json, so the solver snapshot in
+# METRICS.json survives as the artifact the block above promises.
 # Three gates:
 #   - dune build @lint: the whole-program scan over lib/ + bin/ fails
 #     on any unwaived finding (DS001/DS003 publish-ordering, LK001
@@ -181,7 +172,7 @@ echo "matrix: cells appended to bench/results.jsonl at commit $matrix_commit"
 echo "== dune build @lint =="
 dune build @lint
 dune exec bin/eclint.exe -- --format=json --cache .eclint.cache \
-  --metrics METRICS.json _build/default/lib _build/default/bin \
+  --metrics LINT_METRICS.json _build/default/lib _build/default/bin \
   > LINT.json
 echo "lint report: LINT.json"
 echo "== eclint --waivers (staleness audit) =="
@@ -192,7 +183,7 @@ dune exec bin/eclint.exe -- --warn all --cache .eclint.cache.test \
   _build/default/test > /dev/null \
   || { echo "eclint: scan of the test tree crashed"; exit 1; }
 echo "test tree scanned"
-lint_s=$(grep -o '"lint\.duration_s":*[0-9.eE+-]*' METRICS.json | grep -o '[0-9.eE+-]*$')
+lint_s=$(grep -o '"lint\.duration_s":*[0-9.eE+-]*' LINT_METRICS.json | grep -o '[0-9.eE+-]*$')
 awk -v s="${lint_s:-0}" 'BEGIN { exit (s > 0 && s <= 120.0) ? 0 : 1 }' \
   || { echo "lint budget: scan took ${lint_s:-unrecorded}s (budget 120s)"; exit 1; }
 echo "lint duration: ${lint_s}s (budget 120s)"

@@ -1,12 +1,18 @@
 (* ecsat — command-line front end for the ILP-based engineering-change
    library.
 
-     ecsat solve     file.cnf                 solve a DIMACS instance
-     ecsat enable    file.cnf                 solve with enabling EC
-     ecsat fast      file.cnf --add ...       apply changes, fast-EC re-solve
-     ecsat preserve  file.cnf --add ...       apply changes, preserving re-solve
-     ecsat gen       par8-1-c -o out.cnf      regenerate a benchmark instance
-     ecsat tables    --table 2 --scale 0.2    regenerate the paper's tables *)
+     ecsat solve      file.cnf                 solve a DIMACS instance
+     ecsat enable     file.cnf                 solve with enabling EC
+     ecsat fast       file.cnf --add ...       apply changes, fast-EC re-solve
+     ecsat preserve   file.cnf --add ...       apply changes, preserving re-solve
+     ecsat preprocess file.cnf -o out.cnf      simplify an instance
+     ecsat gen        par8-1-c -o out.cnf      regenerate a benchmark instance
+     ecsat tables     --table 2 --scale 0.2    regenerate the paper's tables
+     ecsat serve      --jobs 2                 run the EC daemon
+
+   Each solve runs one engine on the calling domain; only [tables] and
+   [serve] take [--jobs], to spread instances or sessions over a
+   domain pool. *)
 
 open Cmdliner
 
@@ -19,20 +25,19 @@ let cnf_file =
 let backend_conv =
   let parse = function
     | "cdcl" -> Ok Ec_core.Backend.cdcl
-    | "dpll" -> Ok Ec_core.Backend.dpll
     | "ilp" | "bnb" | "ilp-bnb" -> Ok Ec_core.Backend.ilp_exact
     | "heuristic" | "ilp-heuristic" -> Ok Ec_core.Backend.ilp_heuristic
     | "maxsat" -> Ok Ec_core.Backend.maxsat
     | s ->
-      Error (`Msg (Printf.sprintf "unknown backend %S (cdcl|dpll|ilp|heuristic|maxsat)" s))
+      Error (`Msg (Printf.sprintf "unknown backend %S (cdcl|ilp|heuristic|maxsat)" s))
   in
   let print fmt b = Format.pp_print_string fmt (Ec_core.Backend.name b) in
   Arg.conv (parse, print)
 
 let backend =
   let doc =
-    "Solver backend: $(b,cdcl), $(b,dpll), $(b,ilp) (alias $(b,bnb)), \
-     $(b,heuristic) or $(b,maxsat)."
+    "Solver backend: $(b,cdcl), $(b,ilp) (alias $(b,bnb)), $(b,heuristic) or \
+     $(b,maxsat)."
   in
   Arg.(value & opt backend_conv Ec_core.Backend.cdcl & info [ "backend"; "b" ] ~doc)
 
@@ -83,17 +88,43 @@ let eliminate_arg =
   let doc = "Engineering change: eliminate a variable.  Repeatable." in
   Arg.(value & opt_all int [] & info [ "eliminate"; "e" ] ~docv:"VAR" ~doc)
 
+(* [--add] is parsed before any file is read, the [check_jobs]
+   convention: a malformed clause fails with a diagnostic on stderr and
+   exit 2.  A literal above the formula's variable count is legal — an
+   added clause may introduce variables. *)
 let parse_clause spec =
-  let lits =
-    String.split_on_char ',' spec
-    |> List.filter (fun s -> String.trim s <> "")
-    |> List.map (fun s -> Ec_cnf.Lit.of_int (int_of_string (String.trim s)))
+  let reject why =
+    Printf.eprintf "ecsat: --add %S: %s\n" spec why;
+    exit 2
   in
-  Ec_cnf.Clause.make lits
+  let lit s =
+    match int_of_string_opt (String.trim s) with
+    | Some i when i <> 0 -> Ec_cnf.Lit.of_int i
+    | Some _ | None -> reject (Printf.sprintf "%S is not a non-zero integer literal" s)
+  in
+  let lits =
+    String.split_on_char ',' spec |> List.filter (fun s -> String.trim s <> "") |> List.map lit
+  in
+  match Ec_cnf.Clause.make lits with
+  | c -> c
+  | exception Ec_cnf.Clause.Tautology -> reject "a variable occurs in both phases"
 
-let changes_of add eliminate =
+(* [--eliminate] names a variable of the loaded formula: checked once
+   the file is read, before any solve, with the same convention.  The
+   eliminations apply before the added clauses (see [changes_of]). *)
+let check_eliminate f eliminate =
+  let n = Ec_cnf.Formula.num_vars f in
+  List.iter
+    (fun v ->
+      if v < 1 || v > n then begin
+        Printf.eprintf "ecsat: --eliminate expects a variable in 1..%d (got %d)\n" n v;
+        exit 2
+      end)
+    eliminate
+
+let changes_of added eliminate =
   List.map (fun v -> Ec_cnf.Change.Eliminate_var v) eliminate
-  @ List.map (fun spec -> Ec_cnf.Change.Add_clause (parse_clause spec)) add
+  @ List.map (fun c -> Ec_cnf.Change.Add_clause c) added
 
 let timeout_arg =
   let doc = "Wall-clock budget in seconds; on exhaustion the solver reports UNKNOWN." in
@@ -107,12 +138,10 @@ let budget_of timeout conflicts = Ec_util.Budget.create ?time_s:timeout ?conflic
 
 let jobs_arg =
   let doc =
-    "Parallelism (OCaml domains).  $(b,solve): race a portfolio of $(docv) \
-     diversified engine configurations, first certified answer wins, losers \
-     are cancelled cooperatively.  $(b,fast): race the fast-EC cone re-solve \
-     against warm-started full re-solves.  $(b,tables): fan instances over a \
-     $(docv)-wide domain pool.  1 (the default) is the sequential path, \
-     bit-identical to previous behavior."
+    "Parallelism (OCaml domains).  $(b,tables): fan instances over a \
+     $(docv)-wide domain pool; rows do not depend on $(docv).  $(b,serve): \
+     run session work on $(docv) pool domains.  1 (the default) runs on the \
+     calling domain."
   in
   Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
@@ -127,8 +156,8 @@ let check_jobs jobs =
 
 (* SIGTERM/SIGINT during a one-shot command raise the process-wide
    budget interrupt line ([Budget.interrupt]): every running gauge —
-   including portfolio racers and harness workers, whose budgets carry
-   their own cancellation flags — observes it at its next check, the
+   including harness workers, whose budgets the handler never sees —
+   observes it at its next check, the
    engines return [Unknown Cancelled], and the command exits through
    its normal partial-results path ("c stopped: cancelled" + "s
    UNKNOWN", or the tables rendered with the rows finished so far)
@@ -237,47 +266,24 @@ let report_solution ?verify f = function
 (* ---- solve ---- *)
 
 let solve_cmd =
-  let run file backend engine_opts timeout conflicts verify jobs trace metrics =
-    check_jobs jobs;
+  let run file backend engine_opts timeout conflicts verify trace metrics =
     let backend = apply_engine_opts backend engine_opts in
     install_interrupt_handlers ();
     with_observability ~trace ~metrics @@ fun () ->
     print_engine_config backend;
     let f = load file in
-    if jobs > 1 then begin
-      let racers = Ec_core.Backend.default_portfolio ~prefer:backend ~jobs () in
-      let pr, t =
-        Ec_util.Stopwatch.time (fun () ->
-            Ec_core.Backend.solve_portfolio ~budget:(budget_of timeout conflicts) racers f)
-      in
-      let r = pr.Ec_core.Backend.response in
-      Printf.printf "c portfolio jobs=%d racers=%s\n" jobs
-        (String.concat ","
-           (List.map
-              (fun rep -> rep.Ec_core.Backend.racer_engine)
-              pr.Ec_core.Backend.reports));
-      Printf.printf "c winner=%s time=%.4fs conflicts=%d nodes=%d (all racers)\n"
-        r.Ec_core.Backend.engine t
-        r.Ec_core.Backend.counters.Ec_util.Budget.spent_conflicts
-        r.Ec_core.Backend.counters.Ec_util.Budget.spent_nodes;
-      report_solution ~verify f r.Ec_core.Backend.outcome
-    end
-    else begin
-      let backend = Ec_core.Backend.with_budget backend (budget_of timeout conflicts) in
-      let r, t =
-        Ec_util.Stopwatch.time (fun () -> Ec_core.Backend.solve_response backend f)
-      in
-      Printf.printf "c backend=%s time=%.4fs conflicts=%d nodes=%d\n"
-        (Ec_core.Backend.name backend) t
-        r.Ec_core.Backend.counters.Ec_util.Budget.spent_conflicts
-        r.Ec_core.Backend.counters.Ec_util.Budget.spent_nodes;
-      report_solution ~verify f r.Ec_core.Backend.outcome
-    end
+    let backend = Ec_core.Backend.with_budget backend (budget_of timeout conflicts) in
+    let r, t = Ec_util.Stopwatch.time (fun () -> Ec_core.Backend.solve_response backend f) in
+    Printf.printf "c backend=%s time=%.4fs conflicts=%d nodes=%d\n"
+      (Ec_core.Backend.name backend) t
+      r.Ec_core.Backend.counters.Ec_util.Budget.spent_conflicts
+      r.Ec_core.Backend.counters.Ec_util.Budget.spent_nodes;
+    report_solution ~verify f r.Ec_core.Backend.outcome
   in
   let doc = "solve a DIMACS CNF instance" in
   Cmd.v (Cmd.info "solve" ~doc)
     Term.(const run $ cnf_file $ backend $ engine_opt_arg $ timeout_arg $ conflicts_arg
-          $ verify_arg $ jobs_arg $ trace_arg $ metrics_arg)
+          $ verify_arg $ trace_arg $ metrics_arg)
 
 (* ---- enable ---- *)
 
@@ -324,26 +330,27 @@ let report_no_solution = function
     print_endline "s UNKNOWN";
     0
 
-let with_initial file backend k =
+let with_initial file backend eliminate k =
   let f = load file in
+  check_eliminate f eliminate;
   match Ec_core.Flow.solve_initial ~solver:backend f with
   | None ->
     print_endline "s UNSATISFIABLE (original instance)";
     20
-  | Some init -> k f init
+  | Some init -> k init
 
 let fast_cmd =
-  let run file backend engine_opts add eliminate timeout conflicts verify jobs trace metrics =
-    check_jobs jobs;
+  let run file backend engine_opts add eliminate timeout conflicts verify trace metrics =
     let backend = apply_engine_opts backend engine_opts in
+    let added = List.map parse_clause add in
     install_interrupt_handlers ();
     with_observability ~trace ~metrics @@ fun () ->
     print_engine_config backend;
-    with_initial file backend (fun _f init ->
-        let script = changes_of add eliminate in
+    with_initial file backend eliminate (fun init ->
+        let script = changes_of added eliminate in
         let r =
           Ec_core.Flow.apply_change_response ~strategy:Ec_core.Flow.Fast
-            ~solver:backend ~budget:(budget_of timeout conflicts) ~jobs init script
+            ~solver:backend ~budget:(budget_of timeout conflicts) init script
         in
         match r.Ec_core.Flow.result with
         | None -> report_no_solution r.Ec_core.Flow.reason
@@ -358,7 +365,7 @@ let fast_cmd =
   let doc = "apply changes and re-solve with fast EC (paper \xc2\xa76, Figure 2)" in
   Cmd.v (Cmd.info "fast" ~doc)
     Term.(const run $ cnf_file $ backend $ engine_opt_arg $ add_clauses_arg $ eliminate_arg
-          $ timeout_arg $ conflicts_arg $ verify_arg $ jobs_arg $ trace_arg $ metrics_arg)
+          $ timeout_arg $ conflicts_arg $ verify_arg $ trace_arg $ metrics_arg)
 
 (* [--engine] names are validated before any file is read — the
    [check_jobs] convention: an unknown name fails in milliseconds with
@@ -377,6 +384,7 @@ let preserving_engine_of_name = function
 let preserve_cmd =
   let run file backend engine_opts add eliminate use_sat engine_name timeout conflicts verify =
     let backend = apply_engine_opts backend engine_opts in
+    let added = List.map parse_clause add in
     let engine =
       match engine_name with
       | Some name -> preserving_engine_of_name name
@@ -385,8 +393,8 @@ let preserve_cmd =
         else Ec_core.Preserving.default_engine
     in
     print_engine_config backend;
-    with_initial file backend (fun _f init ->
-        let script = changes_of add eliminate in
+    with_initial file backend eliminate (fun init ->
+        let script = changes_of added eliminate in
         let r =
           Ec_core.Flow.apply_change_response
             ~strategy:(Ec_core.Flow.Preserve engine) ~solver:backend
@@ -495,6 +503,12 @@ let gen_cmd =
 
 (* ---- tables ---- *)
 
+let check_min flag minimum v =
+  if v < minimum then begin
+    Printf.eprintf "ecsat: %s must be >= %d (got %d)\n" flag minimum v;
+    exit 2
+  end
+
 (* Same up-front validation convention as [check_jobs]. *)
 let tables_preserving_of_name = function
   | "tiered" -> Ec_harness.Protocol.Tiered
@@ -508,6 +522,16 @@ let tables_preserving_of_name = function
 let tables_cmd =
   let run table scale trials no_large paper jobs engine_name trace metrics =
     check_jobs jobs;
+    (match table with
+    | Some n when n < 1 || n > 3 ->
+      Printf.eprintf "ecsat: --table must be 1, 2 or 3 (got %d)\n" n;
+      exit 2
+    | Some _ | None -> ());
+    check_min "--trials" 1 trials;
+    if not (scale > 0.0) then begin
+      Printf.eprintf "ecsat: --scale must be > 0 (got %g)\n" scale;
+      exit 2
+    end;
     let preserving = tables_preserving_of_name engine_name in
     install_interrupt_handlers ();
     with_observability ~trace ~metrics @@ fun () ->
@@ -525,8 +549,8 @@ let tables_cmd =
     let run_one = function
       | 1 -> print_endline (Ec_harness.Table1.render (Ec_harness.Table1.run ~progress config))
       | 2 -> print_endline (Ec_harness.Table2.render (Ec_harness.Table2.run ~progress config))
-      | 3 -> print_endline (Ec_harness.Table3.render (Ec_harness.Table3.run ~progress config))
-      | n -> Printf.eprintf "no table %d (1..3)\n" n
+      | _ (* 3: [--table] was checked above *) ->
+        print_endline (Ec_harness.Table3.render (Ec_harness.Table3.run ~progress config))
     in
     (match table with Some n -> run_one n | None -> List.iter run_one [ 1; 2; 3 ]);
     if trace <> None then begin
@@ -618,12 +642,6 @@ let check_serve_endpoint socket tcp =
     Printf.eprintf "ecsat: --tcp port must be in 1..65535 (got %d)\n" port;
     exit 2
   | _ -> ()
-
-let check_min flag minimum v =
-  if v < minimum then begin
-    Printf.eprintf "ecsat: %s must be >= %d (got %d)\n" flag minimum v;
-    exit 2
-  end
 
 let serve_cmd =
   let run socket tcp jobs session_bound global_bound max_sessions deadline_ms

@@ -15,8 +15,6 @@ let make lits =
 
 let make_opt lits = match make lits with c -> Some c | exception Tautology -> None
 
-let of_array_unchecked arr = arr
-
 let lits c = c
 
 let size = Array.length

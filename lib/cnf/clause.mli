@@ -18,10 +18,6 @@ val make : Lit.t list -> t
 val make_opt : Lit.t list -> t option
 (** [None] instead of raising on tautologies. *)
 
-val of_array_unchecked : Lit.t array -> t
-(** Trusts the caller that the array is sorted, duplicate-free and
-    tautology-free.  Used on hot paths by solvers. *)
-
 val lits : t -> Lit.t array
 (** The literals; callers must not mutate the result. *)
 

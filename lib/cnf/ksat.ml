@@ -28,10 +28,6 @@ let supporters f a c =
     [] c
   |> List.rev
 
-let clause_enabled f a c =
-  let k = sat_count a c in
-  k >= 2 || (k = 1 && supporters f a c <> [])
-
 type report = {
   clauses_total : int;
   clauses_2sat : int;

@@ -26,10 +26,6 @@ val supporters : Formula.t -> Assignment.t -> Clause.t -> int list
     would (a) satisfy this clause and (b) break no other clause —
     the paper's "support" variables (the Z of §5). *)
 
-val clause_enabled : Formula.t -> Assignment.t -> Clause.t -> bool
-(** At least 2-satisfied, or 1-satisfied with a non-empty supporter
-    set. *)
-
 type report = {
   clauses_total : int;
   clauses_2sat : int;      (** at least 2-satisfied *)

@@ -2,7 +2,6 @@ type t =
   | Ilp_exact of Ec_ilpsolver.Bnb.options
   | Ilp_heuristic of Ec_ilpsolver.Heuristic.options
   | Cdcl of Ec_sat.Cdcl.options
-  | Dpll of Ec_sat.Dpll.options
   | Maxsat of Ec_sat.Maxsat.options
 
 let ilp_exact = Ilp_exact Ec_ilpsolver.Bnb.default_options
@@ -12,20 +11,16 @@ let ilp_heuristic =
 
 let cdcl = Cdcl Ec_sat.Cdcl.default_options
 
-let dpll = Dpll Ec_sat.Dpll.default_options
-
 let maxsat = Maxsat Ec_sat.Maxsat.default_options
 
 let name = function
   | Ilp_exact _ -> "ilp-bnb"
   | Ilp_heuristic _ -> "ilp-heuristic"
   | Cdcl _ -> "cdcl"
-  | Dpll _ -> "dpll"
   | Maxsat _ -> "maxsat"
 
 let of_config = function
   | Engine_config.Cdcl o -> Ok (Cdcl o)
-  | Engine_config.Dpll o -> Ok (Dpll o)
   | Engine_config.Bnb o -> Ok (Ilp_exact o)
   | Engine_config.Heuristic o -> Ok (Ilp_heuristic o)
   | Engine_config.Maxsat o -> Ok (Maxsat o)
@@ -34,16 +29,9 @@ let of_config = function
 
 let to_config = function
   | Cdcl o -> Engine_config.Cdcl o
-  | Dpll o -> Engine_config.Dpll o
   | Ilp_exact o -> Engine_config.Bnb o
   | Ilp_heuristic o -> Engine_config.Heuristic o
   | Maxsat o -> Engine_config.Maxsat o
-
-(* Catalog entries and diversified fill-ins are authored on the config
-   plane; a parse or mapping failure there is a programming error, not
-   a runtime condition. *)
-let of_config_exn c =
-  match of_config c with Ok t -> t | Error e -> invalid_arg ("Backend.of_config: " ^ e)
 
 let with_phase_hint t hint =
   match t with
@@ -53,7 +41,7 @@ let with_phase_hint t hint =
       { options with
         Ec_sat.Maxsat.cdcl = { options.Ec_sat.Maxsat.cdcl with phase_hint = Some hint }
       }
-  | Ilp_exact _ | Ilp_heuristic _ | Dpll _ -> t
+  | Ilp_exact _ | Ilp_heuristic _ -> t
 
 let with_budget t budget =
   match t with
@@ -63,7 +51,6 @@ let with_budget t budget =
     Ilp_heuristic
       { o with Ec_ilpsolver.Heuristic.budget = Ec_util.Budget.combine budget o.budget }
   | Cdcl o -> Cdcl { o with Ec_sat.Cdcl.budget = Ec_util.Budget.combine budget o.budget }
-  | Dpll o -> Dpll { Ec_sat.Dpll.budget = Ec_util.Budget.combine budget o.Ec_sat.Dpll.budget }
   | Maxsat o ->
     Maxsat
       { o with Ec_sat.Maxsat.budget = Ec_util.Budget.combine budget o.Ec_sat.Maxsat.budget }
@@ -87,8 +74,8 @@ type model_response = {
 (* Per-engine spend, recorded once per engine-level solve from the
    same [Budget.counters] record the response carries — so a metrics
    snapshot's per-engine sums reconcile exactly with the summed
-   counters a portfolio or flow response reports.  "decisions" is
-   [spent_nodes] (CDCL decisions / B&B nodes / DPLL branches). *)
+   counters a flow response reports.  "decisions" is [spent_nodes]
+   (CDCL decisions / B&B nodes). *)
 let observe_response ~engine (c : Ec_util.Budget.counters) =
   if Ec_util.Metrics.enabled () then begin
     let m suffix = Ec_util.Metrics.counter ("solve." ^ engine ^ "." ^ suffix) in
@@ -130,7 +117,7 @@ let with_heuristic_seed t attempt =
   | Ilp_heuristic o ->
     Ilp_heuristic
       { o with Ec_ilpsolver.Heuristic.seed = reseed o.Ec_ilpsolver.Heuristic.seed attempt }
-  | Ilp_exact _ | Cdcl _ | Dpll _ | Maxsat _ -> t
+  | Ilp_exact _ | Cdcl _ | Maxsat _ -> t
 
 let failure_counters started =
   { Ec_util.Budget.zero with spent_wall_s = Unix.gettimeofday () -. started }
@@ -174,11 +161,6 @@ let solve_response ?(recover_dc = true) ?budget ?hint t formula =
         ( maybe_recover recover_dc formula r.Ec_sat.Cdcl.outcome,
           r.Ec_sat.Cdcl.reason,
           r.Ec_sat.Cdcl.counters )
-      | Dpll options ->
-        let r = Ec_sat.Dpll.solve_response ~options formula in
-        ( maybe_recover recover_dc formula r.Ec_sat.Dpll.outcome,
-          r.Ec_sat.Dpll.reason,
-          r.Ec_sat.Dpll.counters )
       | Maxsat options -> (
         (* Decision solving through the core-guided engine: no soft
            literals, so the incumbent probe decides.  A [Corrupt_core]
@@ -364,12 +346,6 @@ let solve_model_response ?budget t model =
               (Ec_ilp.Solution.unknown, reason)
           in
           { solution; reason; counters = r.Ec_sat.Maxsat.counters; engine = name t }))
-    | Dpll options ->
-      of_bnb
-        (Ec_ilpsolver.Bnb.solve_response
-           ~options:
-             { Ec_ilpsolver.Bnb.default_options with budget = options.Ec_sat.Dpll.budget }
-           model)
   in
   let r =
     guarded ~attempt
@@ -396,132 +372,3 @@ let solve_model_response ?budget t model =
   in
   observe_response ~engine:r.engine r.counters;
   r
-
-(* --- parallel portfolio ----------------------------------------------- *)
-
-type racer_report = {
-  racer_engine : string;
-  racer_reason : Ec_util.Budget.reason;
-  racer_counters : Ec_util.Budget.counters;
-  racer_won : bool;
-}
-
-type portfolio_response = {
-  response : response;
-  reports : racer_report list;
-}
-
-let record_win engine =
-  if Ec_util.Metrics.enabled () then
-    Ec_util.Metrics.incr (Ec_util.Metrics.counter ("portfolio.wins." ^ engine))
-
-(* Diversified CDCL configurations: distinct seeds, decay rates and
-   restart cadences make racers explore different parts of the search
-   space, which is where a portfolio's wall-clock advantage comes
-   from. *)
-let default_portfolio ?prefer ~jobs () =
-  let jobs = max 1 jobs in
-  let catalog_racer s =
-    match Engine_config.parse s with
-    | Ok c -> of_config_exn c
-    | Error e -> invalid_arg ("Backend.default_portfolio: " ^ e)
-  in
-  let catalog =
-    (match prefer with Some t -> [ t ] | None -> [])
-    @ List.map catalog_racer Engine_config.portfolio_catalog
-  in
-  let rec take n i = function
-    | _ when n = 0 -> []
-    | [] -> of_config_exn (Engine_config.diversified_cdcl i) :: take (n - 1) (i + 1) []
-    | t :: rest -> t :: take (n - 1) i rest
-  in
-  take jobs 3 catalog
-
-let solve_portfolio ?recover_dc ?(budget = Ec_util.Budget.unlimited) ?hint racers
-    formula =
-  let racers = if racers = [] then [ cdcl ] else racers in
-  (* One cancellation flag shared by every racer: the winner raises it
-     from its own domain, losers observe it at their next budget
-     check.  A flag the caller may have put on [budget] is re-homed —
-     portfolio cancellation must not signal the caller's other work. *)
-  let shared, _flag = Ec_util.Budget.with_cancel budget in
-  let decisive (r : response) =
-    match r.outcome with
-    | Ec_sat.Outcome.Sat _ | Ec_sat.Outcome.Unsat -> true
-    | Ec_sat.Outcome.Unknown _ -> false
-  in
-  let run_racer i stage () =
-    Ec_util.Trace.span ~cat:"portfolio"
-      ~args:[ ("racer", string_of_int i); ("engine", name stage) ]
-      ~result_args:(fun (r : response) -> [ ("outcome", outcome_tag r.outcome) ])
-      "portfolio.racer"
-    @@ fun () ->
-    Ec_util.Fault.maybe_delay "portfolio.domain";
-    Ec_util.Fault.maybe_raise "portfolio.racer";
-    solve_response ?recover_dc ~budget:shared ?hint stage formula
-  in
-  let race =
-    Ec_util.Trace.span ~cat:"portfolio"
-      ~args:[ ("racers", string_of_int (List.length racers)) ]
-      "portfolio.race"
-    @@ fun () ->
-    Ec_util.Pool.with_pool (List.length racers) (fun pool ->
-        Ec_util.Pool.race pool ~accept:decisive
-          ~on_winner:(fun _ -> Ec_util.Budget.cancel shared)
-          (List.mapi run_racer racers))
-  in
-  let reports =
-    List.mapi
-      (fun i stage ->
-        match race.Ec_util.Pool.results.(i) with
-        | Ec_util.Pool.Returned (r : response) ->
-          { racer_engine = r.engine;
-            racer_reason = r.reason;
-            racer_counters = r.counters;
-            racer_won = race.Ec_util.Pool.winner = Some i }
-        | Ec_util.Pool.Raised e ->
-          (* A crashed racer: recorded, zero counters, never the
-             winner — the race outcome belongs to the others. *)
-          { racer_engine = name stage;
-            racer_reason = Ec_util.Budget.Engine_failure (name stage, Printexc.to_string e);
-            racer_counters = Ec_util.Budget.zero;
-            racer_won = false })
-      racers
-  in
-  let total =
-    List.fold_left
-      (fun acc rep -> Ec_util.Budget.add acc rep.racer_counters)
-      Ec_util.Budget.zero reports
-  in
-  let base =
-    match race.Ec_util.Pool.winner with
-    | Some i -> (
-      match race.Ec_util.Pool.results.(i) with
-      | Ec_util.Pool.Returned r -> r
-      | Ec_util.Pool.Raised _ -> assert false)
-    | None -> (
-      (* No decisive answer: report the most informative loser —
-         prefer a real exhaustion or failure over Cancelled. *)
-      let returned =
-        Array.to_list race.Ec_util.Pool.results
-        |> List.filter_map (function
-             | Ec_util.Pool.Returned r -> Some r
-             | Ec_util.Pool.Raised _ -> None)
-      in
-      match returned with
-      | [] ->
-        let rep = List.hd reports in
-        { outcome = Ec_sat.Outcome.Unknown rep.racer_reason;
-          reason = rep.racer_reason;
-          counters = Ec_util.Budget.zero;
-          engine = rep.racer_engine }
-      | first :: _ -> (
-        match
-          List.find_opt (fun (r : response) -> r.reason <> Ec_util.Budget.Cancelled)
-            returned
-        with
-        | Some best -> best
-        | None -> first))
-  in
-  if race.Ec_util.Pool.winner <> None then record_win base.engine;
-  { response = { base with counters = total }; reports }

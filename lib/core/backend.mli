@@ -2,13 +2,12 @@
 
     The paper's Figure 1 lets either "a standard ILP solver" or "the
     heuristic iterative improvement-based ILP solver" produce
-    solutions.  This module is that choice point, with the two modern
-    SAT engines added for scale and cross-checking:
+    solutions.  This module is that choice point, with two modern SAT
+    engines added for scale:
 
     - [Ilp_exact]     — set-cover encode, branch & bound (CPLEX's role);
     - [Ilp_heuristic] — set-cover encode, min-conflicts local search;
     - [Cdcl]          — clause-learning SAT solver on the CNF directly;
-    - [Dpll]          — reference solver (small instances only);
     - [Maxsat]        — the core-guided engine ({!Ec_sat.Maxsat}) in
       decision mode; on models, a native optimizer for
       uniform-magnitude objectives (proved [Optimal] status).
@@ -26,7 +25,6 @@ type t =
   | Ilp_exact of Ec_ilpsolver.Bnb.options
   | Ilp_heuristic of Ec_ilpsolver.Heuristic.options
   | Cdcl of Ec_sat.Cdcl.options
-  | Dpll of Ec_sat.Dpll.options
   | Maxsat of Ec_sat.Maxsat.options
 
 val ilp_exact : t
@@ -36,14 +34,11 @@ val ilp_heuristic : t
 
 val cdcl : t
 
-val dpll : t
-
 val maxsat : t
 
 val name : t -> string
-(** Short engine identifier ("cdcl", "dpll", "ilp-bnb",
-    "ilp-heuristic", "maxsat") — used in responses, traces and metric
-    names. *)
+(** Short engine identifier ("cdcl", "ilp-bnb", "ilp-heuristic",
+    "maxsat") — used in responses, traces and metric names. *)
 
 val of_config : Engine_config.t -> (t, string) result
 (** Backend for an engine configuration.  The config plane's [bnb]
@@ -52,9 +47,9 @@ val of_config : Engine_config.t -> (t, string) result
     backend). *)
 
 val to_config : t -> Engine_config.t
-(** The backend's engine configuration — total, so any backend a
-    portfolio runs can be shown, digested and reproduced from the
-    command line ([Engine_config.show (to_config b)]). *)
+(** The backend's engine configuration — total, so any backend can
+    be shown, digested and reproduced from the command line
+    ([Engine_config.show (to_config b)]). *)
 
 val observe_response : engine:string -> Ec_util.Budget.counters -> unit
 (** Record a solve's spend under the ["solve.<engine>.*"] metric
@@ -113,55 +108,7 @@ val solve_model_response :
     question natively (objective reported at the found point, status
     [Feasible]); [Maxsat] additionally optimizes uniform-magnitude
     objectives natively (soft literal per term, proved [Optimal]
-    status); general rows, non-uniform objectives and the other SAT
-    backend fall back to branch & bound (under the same budget).
+    status); general rows and non-uniform objectives fall back to
+    branch & bound (under the same budget).
     Optimization is exact under [Ilp_exact]; [Ilp_heuristic] returns
     its best feasible point. *)
-
-(** {2 Parallel portfolio}
-
-    Race N engine configurations across domains ({!Ec_util.Pool});
-    the first racer whose answer survives certification wins, the
-    rest are stopped cooperatively — the shared {!Ec_util.Budget}
-    cancellation flag is raised by the winner and every engine
-    observes it at its next budget check. *)
-
-type racer_report = {
-  racer_engine : string;
-  racer_reason : Ec_util.Budget.reason;
-      (** losers typically report [Cancelled]; a crashed racer reports
-          [Engine_failure] *)
-  racer_counters : Ec_util.Budget.counters;
-  racer_won : bool;
-}
-
-type portfolio_response = {
-  response : response;
-      (** the winner's answer; its [counters] are the {e aggregate}
-          over all racers, so observability survives parallelism *)
-  reports : racer_report list;  (** per-racer detail, in racer order *)
-}
-
-val default_portfolio : ?prefer:t -> jobs:int -> unit -> t list
-(** A diversified racer list of length [max 1 jobs]: [prefer] (if
-    given) first, then {!Engine_config.portfolio_catalog} parsed in
-    rank order — default CDCL, branch & bound, diversified CDCL
-    configurations (distinct seeds / decay / restart base), the
-    heuristic, the core-guided MaxSAT engine, DPLL — and, beyond the
-    catalog, further {!Engine_config.diversified_cdcl} fill-ins.
-    Every racer is a config-plane value: its exact configuration is
-    [Engine_config.show (to_config racer)]. *)
-
-val solve_portfolio :
-  ?recover_dc:bool ->
-  ?budget:Ec_util.Budget.t ->
-  ?hint:Ec_cnf.Assignment.t ->
-  t list -> Ec_cnf.Formula.t -> portfolio_response
-(** Race the given engine configurations on [formula], all under
-    [budget] plus one shared cancellation flag; each racer is a
-    {!solve_response} with the same [hint].  The first decisive
-    answer (certified Sat, or an Unsat not refuted by [hint]) wins and
-    cancels the rest; a racer that raises is contained and never
-    affects the others' race.  If no racer is decisive, the response
-    reports the most informative loser (preferring a real exhaustion
-    over [Cancelled]).  An empty list means [[cdcl]]. *)

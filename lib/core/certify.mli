@@ -33,18 +33,6 @@ val check_solution :
     (relative tolerance [eps], default 1e-6).  Verdicts without a
     point ([Infeasible]/[Unbounded]/[Unknown]) pass vacuously. *)
 
-val check_core :
-  soft:Ec_cnf.Lit.t list ->
-  aux_lo:int ->
-  aux_hi:int ->
-  Ec_cnf.Lit.t list ->
-  (unit, string) result
-(** Is every literal of a claimed unsat core a legitimate assumption —
-    one of the soft literals, or a negated relaxation-bound output over
-    an auxiliary variable in [aux_lo, aux_hi)?  An empty core is also
-    rejected (a core-guided engine never reports one).  O(core ·
-    soft). *)
-
 val check_maxsat :
   Ec_cnf.Formula.t -> Ec_sat.Maxsat.result -> (unit, string) result
 (** Independent re-validation of a core-guided MaxSAT result against
@@ -52,8 +40,11 @@ val check_maxsat :
     claimed cost matches a from-scratch recount over the soft literals
     ({!Ec_sat.Maxsat.cost_of}); an [Optimum] cost must equal the proved
     lower bound, an incumbent must not beat it; the lower bound must
-    equal the number of extracted cores, each of which passes
-    {!check_core}.  O(answer + formula), never an extra solve. *)
+    equal the number of extracted cores, and every literal of each
+    core must be a legitimate assumption — a soft literal, or a
+    negated relaxation-bound output over an auxiliary variable the
+    engine reports — and no core may be empty.  O(answer + formula),
+    never an extra solve. *)
 
 val refutes_unsat : Ec_cnf.Formula.t -> witness:Ec_cnf.Assignment.t -> bool
 (** [true] when [witness] (DC-extended to the formula's range if

@@ -1,11 +1,10 @@
-(* Closed union of the six engine config specs.  See engine_config.mli
+(* Closed union of the five engine config specs.  See engine_config.mli
    for the contract; the dispatch trick is the usual existential pack:
    each arm pairs its options value with its spec and a re-injection
    function, so every derived operation is written once. *)
 
 type t =
   | Cdcl of Ec_sat.Cdcl.options
-  | Dpll of Ec_sat.Dpll.options
   | Bnb of Ec_ilpsolver.Bnb.options
   | Heuristic of Ec_ilpsolver.Heuristic.options
   | Simplex of Ec_simplex.Simplex.options
@@ -15,7 +14,6 @@ type packed = Pack : 'a Ec_util.Config.spec * 'a * ('a -> t) -> packed
 
 let pack = function
   | Cdcl o -> Pack (Ec_sat.Cdcl.config, o, fun o -> Cdcl o)
-  | Dpll o -> Pack (Ec_sat.Dpll.config, o, fun o -> Dpll o)
   | Bnb o -> Pack (Ec_ilpsolver.Bnb.config, o, fun o -> Bnb o)
   | Heuristic o -> Pack (Ec_ilpsolver.Heuristic.config, o, fun o -> Heuristic o)
   | Simplex o -> Pack (Ec_simplex.Simplex.config, o, fun o -> Simplex o)
@@ -25,7 +23,6 @@ let pack = function
    can never drift apart. *)
 let all_defaults =
   [ Cdcl Ec_sat.Cdcl.default_options;
-    Dpll Ec_sat.Dpll.default_options;
     Bnb Ec_ilpsolver.Bnb.default_options;
     Heuristic Ec_ilpsolver.Heuristic.default_options;
     Simplex Ec_simplex.Simplex.default_options;
@@ -78,31 +75,3 @@ let document () =
          let (Pack (spec, _, _)) = pack t in
          Ec_util.Config.document spec)
        all_defaults)
-
-(* --- portfolio diversification ----------------------------------- *)
-
-(* Same axes and reseeding constant the hard-coded variant list in
-   Backend used before the config plane existed; expressed as config
-   strings so every racer is reproducible from the command line. *)
-let diversified_cdcl i =
-  let decays = [| 0.95; 0.85; 0.99; 0.90 |] in
-  let restarts = [| 100; 64; 256; 150 |] in
-  let base = Ec_sat.Cdcl.default_options.Ec_sat.Cdcl.seed in
-  let s =
-    Printf.sprintf "cdcl:var_decay=%s,restart_base=%d,seed=%d"
-      (Ec_util.Config.float_to_string decays.(i mod Array.length decays))
-      restarts.(i mod Array.length restarts)
-      (base lxor (0x9E3779B9 * i))
-  in
-  match parse s with
-  | Ok t -> t
-  | Error e -> invalid_arg ("Engine_config.diversified_cdcl: " ^ e)
-
-let portfolio_catalog =
-  [ "cdcl";
-    "bnb";
-    show (diversified_cdcl 1);
-    "heuristic:stop_at_first_feasible=true";
-    "maxsat";
-    show (diversified_cdcl 2);
-    "dpll" ]

@@ -1,10 +1,10 @@
-(** One value for "an engine plus its tunables", across all six
+(** One value for "an engine plus its tunables", across all five
     engines.
 
     {!Ec_util.Config} gives each engine a typed spec over its own
     [options] record; this module is the closed union of those specs
     so callers that do not know which engine they hold — the CLI's
-    [--engine-opt], the portfolio catalog, the benchmark matrix — can
+    [--engine-opt], the benchmark matrix — can
     still show, parse, tweak and digest a configuration.
 
     The textual form is [ENGINE] or [ENGINE:KEY=VAL,...], e.g.
@@ -13,14 +13,13 @@
     (all fields, spec order), so [parse (show t) = Ok t]; the matrix
     keys cells by {!digest} of that canonical form.
 
-    Engine names here are the config-plane names ([cdcl], [dpll],
-    [bnb], [heuristic], [simplex], [maxsat]); {!Backend} maps the
+    Engine names here are the config-plane names ([cdcl], [bnb],
+    [heuristic], [simplex], [maxsat]); {!Backend} maps the
     discrete-feasibility subset to its own backend names ([bnb] is
     ["ilp-bnb"] there, etc.) via [Backend.of_config]. *)
 
 type t =
   | Cdcl of Ec_sat.Cdcl.options
-  | Dpll of Ec_sat.Dpll.options
   | Bnb of Ec_ilpsolver.Bnb.options
   | Heuristic of Ec_ilpsolver.Heuristic.options
   | Simplex of Ec_simplex.Simplex.options
@@ -28,7 +27,7 @@ type t =
 
 val engines : string list
 (** Config-plane engine names, in display order:
-    [["cdcl"; "dpll"; "bnb"; "heuristic"; "simplex"; "maxsat"]]. *)
+    [["cdcl"; "bnb"; "heuristic"; "simplex"; "maxsat"]]. *)
 
 val default : string -> (t, string) result
 (** Engine at its default options, by config-plane name.  [Error]
@@ -39,7 +38,7 @@ val name : t -> string
 
 val show : t -> string
 (** Canonical form: [ENGINE:KEY=VAL,...] with every tunable in spec
-    order, or just [ENGINE] for a zero-field spec (dpll).
+    order, or just [ENGINE] for a spec without fields.
     [parse (show t) = Ok t]. *)
 
 val parse : string -> (t, string) result
@@ -62,24 +61,3 @@ val digest : t -> string
 val document : unit -> string
 (** Every engine's spec (doc line, keys, defaults) as a multi-line
     help text — the [ecsat solve --list-engines] surface. *)
-
-(** {2 Portfolio diversification}
-
-    The portfolio used to diversify through a hard-coded variant list
-    inside [Backend]; these generators express the same family on the
-    config plane, so every racer the portfolio ever runs has a config
-    string and a digest. *)
-
-val diversified_cdcl : int -> t
-(** The [i]-th diversified CDCL configuration: [var_decay] and
-    [restart_base] cycle through fixed axes and the seed is reseeded
-    by the portfolio's splitmix-style constant.  [diversified_cdcl 0]
-    is the default configuration. *)
-
-val portfolio_catalog : string list
-(** The default portfolio's racer catalog as config strings (partial
-    forms; {!show} of the parsed value is the canonical spelling), in
-    rank order (complementary engines first, diversified CDCL
-    fill-ins interleaved).  [Backend.default_portfolio] parses this
-    list — the strings are the single source of truth, and each is
-    reproducible as [ecsat solve --engine NAME --engine-opt ...]. *)

@@ -69,6 +69,8 @@ type response = {
 
 let apply_change_response ?(strategy = Fast) ?(solver = Backend.cdcl)
     ?(budget = Ec_util.Budget.unlimited) ?(jobs = 1) initial script =
+  if jobs <> 1 then
+    invalid_arg "Flow.apply_change_response: jobs must be 1";
   let new_formula = Ec_cnf.Change.apply_script initial.formula script in
   let reference =
     Ec_cnf.Assignment.extend initial.assignment (Ec_cnf.Formula.num_vars new_formula)
@@ -84,94 +86,9 @@ let apply_change_response ?(strategy = Fast) ?(solver = Backend.cdcl)
     in
     (outcome, r.Backend.reason, r.Backend.counters)
   in
-  (* The paper's Figure 2 decision — fast cone re-solve vs. full
-     re-solve — made empirically per instance: both run concurrently
-     under one shared cancellation flag, and whichever produces a
-     certified answer first wins.  The full side gets [jobs - 1]
-     diversified warm-started racers.  A racer answers
-     [`Sat]/[`Unsat] (decisive) or [`Indecisive] (cone unsatisfiable,
-     exhausted, refuted verdict, …). *)
-  let race_fast_vs_full () =
-    let shared, _flag = Ec_util.Budget.with_cancel budget in
-    let fast_side () =
-      Ec_util.Fault.maybe_delay "portfolio.domain";
-      Ec_util.Fault.maybe_raise "portfolio.racer";
-      let r = Fast_ec.resolve ~backend:solver ~budget:shared new_formula reference in
-      match r.Fast_ec.solution with
-      | Some a ->
-        ( `Sat (a, Some (r.Fast_ec.sub_vars_count, r.Fast_ec.sub_clauses_count)),
-          r.Fast_ec.reason,
-          r.Fast_ec.counters )
-      | None -> (`Indecisive, r.Fast_ec.reason, r.Fast_ec.counters)
-    in
-    let full_racer stage () =
-      Ec_util.Fault.maybe_delay "portfolio.domain";
-      Ec_util.Fault.maybe_raise "portfolio.racer";
-      let r = Backend.solve_response ~budget:shared ~hint:reference stage new_formula in
-      match r.Backend.outcome with
-      | Ec_sat.Outcome.Sat a -> (`Sat (a, None), r.Backend.reason, r.Backend.counters)
-      | Ec_sat.Outcome.Unsat -> (`Unsat, r.Backend.reason, r.Backend.counters)
-      | Ec_sat.Outcome.Unknown reason -> (`Indecisive, reason, r.Backend.counters)
-    in
-    let racers =
-      fast_side
-      :: (Backend.default_portfolio ~prefer:solver ~jobs:(max 1 (jobs - 1)) ()
-         |> List.map full_racer)
-    in
-    let race =
-      Ec_util.Pool.with_pool (List.length racers) (fun pool ->
-          Ec_util.Pool.race pool
-            ~accept:(fun (v, _, _) ->
-              match v with `Sat _ | `Unsat -> true | `Indecisive -> false)
-            ~on_winner:(fun _ -> Ec_util.Budget.cancel shared)
-            racers)
-    in
-    let total =
-      Array.fold_left
-        (fun acc -> function
-          | Ec_util.Pool.Returned (_, _, c) -> Ec_util.Budget.add acc c
-          | Ec_util.Pool.Raised _ -> acc)
-        Ec_util.Budget.zero race.Ec_util.Pool.results
-    in
-    match race.Ec_util.Pool.winner with
-    | Some i -> (
-      match race.Ec_util.Pool.results.(i) with
-      | Ec_util.Pool.Returned (`Sat (a, sub), reason, _) -> (Some (a, sub), reason, total)
-      | Ec_util.Pool.Returned (`Unsat, reason, _) -> (None, reason, total)
-      | Ec_util.Pool.Returned (`Indecisive, _, _) | Ec_util.Pool.Raised _ -> assert false)
-    | None ->
-      (* No decisive racer; report the most informative reason. *)
-      let reasons =
-        Array.to_list race.Ec_util.Pool.results
-        |> List.map (function
-             | Ec_util.Pool.Returned (_, reason, _) -> reason
-             | Ec_util.Pool.Raised e ->
-               Ec_util.Budget.Engine_failure ("flow-racer", Printexc.to_string e))
-      in
-      let reason =
-        match
-          List.find_opt (fun r -> r <> Ec_util.Budget.Cancelled) reasons
-        with
-        | Some r -> r
-        | None -> Ec_util.Budget.Cancelled
-      in
-      (None, reason, total)
-  in
   let run () =
     match strategy with
-    | Full when jobs > 1 -> (
-      let pr =
-        Backend.solve_portfolio ~budget ~hint:reference
-          (Backend.default_portfolio ~prefer:solver ~jobs ())
-          new_formula
-      in
-      let r = pr.Backend.response in
-      match r.Backend.outcome with
-      | Ec_sat.Outcome.Sat a -> (Some (a, None), r.Backend.reason, r.Backend.counters)
-      | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ ->
-        (None, r.Backend.reason, r.Backend.counters))
     | Full -> full_resolve budget
-    | Fast when jobs > 1 -> race_fast_vs_full ()
     | Fast -> (
       let r = Fast_ec.resolve ~backend:solver ~budget new_formula reference in
       match r.Fast_ec.solution with
@@ -209,8 +126,7 @@ let apply_change_response ?(strategy = Fast) ?(solver = Backend.cdcl)
   let (result, reason, counters), elapsed =
     Ec_util.Stopwatch.time (fun () ->
         Ec_util.Trace.span ~cat:"flow"
-          ~args:
-            [ ("strategy", strategy_tag strategy); ("jobs", string_of_int jobs) ]
+          ~args:[ ("strategy", strategy_tag strategy) ]
           ~result_args:(fun (result, reason, _) ->
             [ ("solved", string_of_bool (result <> None));
               ("reason", Ec_util.Budget.reason_to_string reason) ])

@@ -22,13 +22,13 @@ val solve_initial :
   Ec_cnf.Formula.t ->
   initial option
 (** Produce the initial solution ("non-EC solution", or "EC solution"
-    when [enable] is given).  With [enable], the enabling model is
-    solved by branch & bound (hard constraints) — the
-    {!Backend.ilp_heuristic} backend is substituted automatically for
-    models the exact solver cannot finish if a [solver] of that kind
-    is passed.  [budget] caps the solve ({!Ec_util.Budget}); running
-    out is reported as [None], like unsatisfiability.  [None] when
-    unsatisfiable. *)
+    when [enable] is given).  [solver] (default {!Backend.cdcl})
+    answers either way: with [enable], it solves the enabling model
+    through {!Backend.solve_model_response} (for [Cdcl], the model's
+    clauses via {!Cnfize}), and the decoded assignment is re-certified
+    against [formula].  [budget] caps the solve ({!Ec_util.Budget});
+    running out is reported as [None], like unsatisfiability.  [None]
+    when unsatisfiable. *)
 
 type resolve_strategy =
   | Fast                      (** Figure 2 cone re-solve *)
@@ -47,8 +47,8 @@ type updated = {
       (** why the last solve of the strategy stopped *)
   counters : Ec_util.Budget.counters;
       (** total spend across the strategy, including a fast-EC
-          fallback's both stages ([Preserve] reports zero — its
-          engines do not expose per-probe counters here) *)
+          fallback's both stages; [Preserve] reports the [counters]
+          of its {!Preserving.result} *)
 }
 
 type response = {
@@ -74,14 +74,12 @@ val apply_change_response :
     re-solve when the cone is unsatisfiable or over budget).  [budget]
     is one end-to-end allowance: the fallback full re-solve runs under
     what the cone solve left ({!Ec_util.Budget.consume}), so the pair
-    overshoots a deadline by at most one check granularity.
+    overshoots a deadline by at most one check granularity.  Every
+    full re-solve takes the initial solution as its
+    {!Backend.solve_response} [hint].  The strategy runs on the calling
+    domain.
 
-    [jobs] (default 1) parallelizes the strategy: with [jobs > 1] and
-    [Fast], the cone re-solve races [jobs - 1] warm-started full
-    re-solves on separate domains under one shared cancellation flag —
-    the paper's Figure 2 fast-vs-full decision made empirically per
-    instance; [sub_instance_size] is [Some _] iff the fast side won.
-    With [Full], the re-solve runs as a {!Backend.solve_portfolio}.
-    [jobs <= 1] runs the strategy on the calling domain; [Preserve]
-    ignores [jobs].  Every full re-solve takes the initial solution as
-    its {!Backend.solve_response} [hint]. *)
+    [jobs] must be 1 (the default); any other value raises
+    [Invalid_argument].  The argument stays only because the
+    benchmark's pipeline passes [~jobs:1]; it goes once that call
+    drops it. *)

@@ -446,7 +446,7 @@ let builtins =
    its full objective-improvement mode burns the whole flip budget on
    every (satisfiable) cell for no extra information. *)
 let default_engines =
-  [ "cdcl"; "dpll"; "bnb"; "bnb:greedy_completion=false";
+  [ "cdcl"; "bnb"; "bnb:greedy_completion=false";
     "bnb:use_lp_bounding=true,lp_max_depth=6"; "bnb:branching=first-unfixed";
     "heuristic:stop_at_first_feasible=true"; "maxsat"; "simplex" ]
 

@@ -140,5 +140,6 @@ val gate : baseline:cell list -> cell list -> verdict list
     beyond [baseline * 1.5 + 64], or wall time beyond
     [baseline * 2.0 + 0.5] s.  The wall comparison is skipped with a
     note when the cells disagree on [cores_online] or the cell was
-    measured with [cores_online <= 1], where a serialized portfolio
-    makes wall time meaningless. *)
+    measured with [cores_online <= 1]: there the one core is shared
+    with whatever else the host runs, so wall time says more about the
+    host than about the code. *)

@@ -3,10 +3,11 @@
    Every engine accepts an [Ec_util.Budget.t] and must observe it
    cooperatively: [Budget.start] arms a per-solve gauge and
    [Budget.check] is the poll that makes deadlines, conflict caps and
-   portfolio cancellation actually stop the solve.  A binding from
-   which a gauge is armed but no [Budget.check] is reachable runs to
-   completion no matter what the caller asked for — in a portfolio
-   race that is a domain that never observes its cancellation flag.
+   the serve watchdog's cancellation actually stop the solve.  A
+   binding from which a gauge is armed but no [Budget.check] is
+   reachable runs to completion no matter what the caller asked for —
+   under serve, a pool domain that never observes its cancellation
+   flag.
 
    This check asks the whole-program call graph, not a module-local
    fixpoint: a binding is flagged when
@@ -53,7 +54,7 @@ let check ctx (u : Unit_info.t) =
             (Finding.make ~check:id ~severity:Finding.Error ~loc:f.Summary.fn_loc
                (Printf.sprintf
                   "`%s' %s but no Budget.check is reachable from it in the \
-                   whole-program call graph: deadlines, caps and portfolio \
+                   whole-program call graph: deadlines, caps and watchdog \
                    cancellation cannot stop it"
                   (short_name f.Summary.fn_name)
                   (if arms then "arms a Budget (possibly through a callee)"

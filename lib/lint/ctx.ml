@@ -2,9 +2,9 @@
    the cross-unit facts derived from the real call graph —
 
      - which units hold code raced by the domain pool (DS001's scope:
-       the functions that hand closures to [Pool.race]/[map_list]/
-       [submit], everyone who calls them, and everything any of that
-       code can reach);
+       the functions that hand closures to [Pool.map_list]/[submit],
+       everyone who calls them, and everything any of that code can
+       reach);
      - which functions can reach a [Budget.check] / [Budget.start]
        (BP001's interprocedural pollability);
      - which functions publish via an atomic store (DS003's call-level

@@ -1,8 +1,8 @@
 (* DS001 — toplevel mutable state in a module raced by the domain
    pool.
 
-   The portfolio solver runs engine configurations on separate OCaml 5
-   domains ([Ec_util.Pool.race] / [map_list] / [submit]); any code
+   The paper tables and the serve daemon run closures on separate
+   OCaml 5 domains ([Ec_util.Pool.map_list] / [submit]); any code
    those raced closures can reach executes concurrently.  A toplevel
    [ref], [Hashtbl.t], [Buffer.t], [Queue.t], [Stack.t] or value of a
    mutable-field record type in such a module is shared unsynchronized

@@ -4,7 +4,7 @@
    from it makes results depend on scheduling and on every other
    caller, which breaks the repository's replayability contract (every
    experiment re-runnable from a single seed) and, pre-5.0 idioms like
-   [Random.self_init], can alias streams across racers.  All
+   [Random.self_init], can alias streams across domains.  All
    randomness must come from explicit [Ec_util.Rng] streams. *)
 
 let id = "DS002"

@@ -4,8 +4,8 @@
    and never looks at it) swallows *everything*: fault-injection
    signals ([Ec_util.Fault.Injected]), certification failures, and any
    future cancellation exception — exactly the signals the
-   solve stack's demotion logic ([Certify], [Backend.guarded],
-   portfolio loser accounting) depends on seeing.  Handlers must match
+   solve stack's demotion logic ([Certify], [Backend.guarded]) depends
+   on seeing.  Handlers must match
    specific exceptions, or bind the exception and reify/re-raise it so
    the caller can tell what happened.  Deliberate containment walls
    carry a waiver naming why swallowing is safe there. *)

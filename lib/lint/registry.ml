@@ -12,7 +12,7 @@ let all =
       default_severity = Finding.Error;
       doc =
         "toplevel ref/Hashtbl/Buffer/mutable-record state in a module \
-         reachable from Pool.race/Pool.map_list call sites without \
+         reachable from Pool.map_list/Pool.submit call sites without \
          Atomic/Mutex/Domain.DLS protection";
       run = Ds001.check };
     { id = Ds002.id;

@@ -85,7 +85,7 @@ let toplevel_lookup ~short (str : Typedtree.structure) =
                                                identity per type, which
                                                is what lock ORDER is
                                                about)
-     - a local binding: "local:Pool.race/wm_308" (unique per binding)
+     - a local binding: "local:Mod.fn/m_308" (unique per binding)
    A parameter of the enclosing function resolves through
    [locks_params] at call sites instead and returns [`Param i]. *)
 let lock_identity ~short ~params ~toplevel (e : Typedtree.expression) =

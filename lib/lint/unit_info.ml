@@ -1,7 +1,7 @@
 (* One analyzed compilation unit: the implementation typedtree read
    from a [.cmt] file plus the pre-computed facts the checks share. *)
 
-let pool_entry_points = [ "Pool.race"; "Pool.map_list"; "Pool.submit" ]
+let pool_entry_points = [ "Pool.map_list"; "Pool.submit" ]
 
 type t = {
   modname : string;           (* compilation unit name, e.g. "Ec_util__Fault" *)

@@ -99,8 +99,6 @@ let bound_lit r k =
     invalid_arg "Cardinality.bound_lit: bound out of the counter's capacity";
   r.r_outputs.(k)
 
-let tighten r k = [ clause [ Ec_cnf.Lit.negate (bound_lit r k) ] ]
-
 let at_least ~next_var lits k =
   let n = List.length lits in
   if k <= 0 then { clauses = []; next_var }

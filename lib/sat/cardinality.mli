@@ -30,9 +30,9 @@ val exactly : next_var:int -> Ec_cnf.Lit.t list -> int -> encoded
     pays O(n·k) fresh clauses per probe and forfeits everything a
     previous probe learnt.  A [reusable] counter is built a single
     time up to a capacity and every bound below it is selected by one
-    literal — post {!tighten}'s unit clause, or assume
-    [negate (bound_lit r k)] in an incremental session so the same
-    clause database (and its learnt clauses) serves every probe. *)
+    literal: assume [negate (bound_lit r k)] in an incremental session
+    so the same clause database (and its learnt clauses) serves every
+    probe. *)
 
 type reusable = {
   r_clauses : Ec_cnf.Clause.t list;  (** the counter, built once *)
@@ -56,8 +56,3 @@ val bound_lit : reusable -> int -> Ec_cnf.Lit.t
 (** [bound_lit r k]: true (by propagation) whenever more than [k]
     inputs are true; assuming its negation enforces at-most-[k].
     @raise Invalid_argument if [k] is outside the built capacity. *)
-
-val tighten : reusable -> int -> Ec_cnf.Clause.t list
-(** At-most-[k] as a permanent constraint: the one unit clause
-    [¬(bound_lit r k)] — tightening an already-posted counter never
-    re-encodes it. *)

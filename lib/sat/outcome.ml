@@ -5,8 +5,6 @@ type t =
 
 let is_sat = function Sat _ -> true | Unsat | Unknown _ -> false
 
-let unknown_reason = function Sat _ | Unsat -> None | Unknown r -> Some r
-
 (* Chaos-test support ({!Ec_util.Fault}): deterministic single-bit
    damage to a Sat model, and wholesale forgery of UNSAT.  Kept here so
    every SAT engine's failpoints corrupt answers the same way. *)

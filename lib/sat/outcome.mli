@@ -19,6 +19,4 @@ val corrupt : Ec_util.Rng.t -> t -> t
 val forge_unsat : t -> t
 (** Replace a [Sat] answer with [Unsat]; the forged-verdict fault. *)
 
-val unknown_reason : t -> Ec_util.Budget.reason option
-
 val to_string : t -> string

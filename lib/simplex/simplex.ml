@@ -9,9 +9,9 @@ exception Cut_exn of Ec_util.Budget.reason
 let eps_pivot = 1e-9
 let eps_feas = 1e-7
 
-(* Domain-local so concurrent portfolio racers don't corrupt each
-   other's pivot deltas; callers always measure a before/after
-   difference on one domain, which stays exact. *)
+(* Domain-local so solves on concurrent pool domains (tables, serve)
+   don't corrupt each other's pivot deltas; callers always measure a
+   before/after difference on one domain, which stays exact. *)
 let total_iterations = Domain.DLS.new_key (fun () -> ref 0)
 
 let counter () = Domain.DLS.get total_iterations

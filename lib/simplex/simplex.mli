@@ -60,5 +60,5 @@ val solve_model :
 val iterations_performed : unit -> int
 (** Total pivots performed {e on the calling domain} since it started;
     instrumentation for the bench harness's ablations and the
-    per-solve pivot counters.  Domain-local so concurrent portfolio
-    racers measure their own before/after deltas exactly. *)
+    per-solve pivot counters.  Domain-local so solves on concurrent
+    pool domains measure their own before/after deltas exactly. *)

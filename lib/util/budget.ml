@@ -28,43 +28,33 @@ type t = {
 (* Shared sentinel: budgets built without an explicit flag all point
    here, so [combine] can tell "no flag" from "a real flag" and
    [cancel] can refuse to raise a flag shared across every budget.
-   The flag is atomic so a portfolio racer on another domain can
-   raise it and the owner observes the store without a data race. *)
+   The flag is atomic so the serve watchdog on another domain can
+   raise it and the solving domain observes the store without a data
+   race. *)
 let never = Atomic.make false
 
 (* Process-wide interrupt line, observed by every gauge alongside the
    budget's own flag.  This is what lets a SIGTERM/SIGINT handler stop
-   a solve no matter how deeply the budget was re-wrapped on the way
-   down (the portfolio and the fast-EC race attach fresh per-race
-   cancellation flags, so a flag installed by the caller would not
-   survive to the engines).  One extra atomic load per [check]. *)
+   a solve without holding the budget it runs under (harness workers
+   build their own).  One extra atomic load per [check]. *)
 let interrupt_line = Atomic.make false
 
 let interrupt () = Atomic.set interrupt_line true
 
-let clear_interrupt () = Atomic.set interrupt_line false
-
-let interrupted () = Atomic.get interrupt_line
-
-let unlimited =
-  { time_s = None; conflicts = None; nodes = None; iterations = None; cancel = never }
-
 let create ?time_s ?conflicts ?nodes ?iterations ?(cancel = never) () =
   { time_s; conflicts; nodes; iterations; cancel }
+
+let unlimited = create ()
 
 let of_time s = create ~time_s:s ()
 
 let is_unlimited t =
   t.time_s = None && t.conflicts = None && t.nodes = None && t.iterations = None
 
-let with_cancel t =
-  let flag = Atomic.make false in
-  ({ t with cancel = flag }, flag)
-
 let cancel t =
   if t.cancel == never then
-    invalid_arg "Budget.cancel: budget has no cancellation flag (use ~cancel or with_cancel)"
-  else Atomic.set t.cancel true
+    invalid_arg "Budget.cancel: budget has no cancellation flag (use ~cancel)";
+  Atomic.set t.cancel true
 
 let cancelled t = Atomic.get t.cancel
 

@@ -1,14 +1,13 @@
 (** Unified solver resource control.
 
-    Every engine in the repository (CDCL, DPLL, branch & bound, the
+    Every engine in the repository (CDCL, MaxSAT, branch & bound, the
     min-conflicts heuristic, the simplex LP core) accepts one [t]
     describing how much work a solve is allowed to do — wall-clock
     time, conflicts, search nodes, iterations (heuristic flips and
     simplex pivots) — plus a cooperative cancellation flag.  Engines
     report how a solve stopped as a {!reason} and what it spent as
-    {!counters}, which is what lets {!Ec_core.Backend} run fallback
-    chains where each stage inherits the remaining budget of its
-    predecessor ({!consume}).
+    {!counters}, which is what lets {!Ec_core.Flow} hand a fast-EC
+    fallback the budget the cone solve left ({!consume}).
 
     Time is stored as a {e relative} allowance, not an absolute
     deadline: budgets live in configuration records built long before
@@ -42,13 +41,13 @@ type t = {
   iterations : int option;   (** flips / pivots allowed *)
   cancel : bool Atomic.t;    (** cooperative cancellation flag; atomic
                                  so it can be raised from another
-                                 domain (portfolio racing) *)
+                                 domain (the serve watchdog) *)
 }
 
 val unlimited : t
 (** No limits.  Its cancellation flag is a shared sentinel that is
     never raised; budgets that should be cancellable must be built
-    with [create ~cancel] or {!with_cancel}. *)
+    with [create ~cancel]. *)
 
 val create :
   ?time_s:float -> ?conflicts:int -> ?nodes:int -> ?iterations:int ->
@@ -64,11 +63,6 @@ val is_unlimited : t -> bool
 (** No finite limit in any dimension (the cancellation flag may still
     stop a solve). *)
 
-val with_cancel : t -> t * bool Atomic.t
-(** Attach a fresh cancellation flag; setting it to [true] (from any
-    domain) stops any solve running under the budget at its next
-    tick. *)
-
 val cancel : t -> unit
 (** Raise the budget's cancellation flag.
     @raise Invalid_argument on a budget without its own flag (one built
@@ -82,22 +76,15 @@ val cancelled : t -> bool
 
     A second cancellation line shared by {e every} budget in the
     process, checked by {!check} alongside the budget's own flag.
-    This is the hook for SIGTERM/SIGINT handlers: per-budget flags do
-    not survive the re-wrapping the portfolio and the fast-EC race
-    perform ({!with_cancel} attaches a fresh per-race flag), but the
-    interrupt line reaches every engine on every domain regardless of
-    nesting.  Costs one extra atomic load per {!check}. *)
+    This is the hook for SIGTERM/SIGINT handlers: a handler holds no
+    budget, but the interrupt line reaches every engine on every
+    domain, whatever budget it runs under.  Costs one extra atomic
+    load per {!check}. *)
 
 val interrupt : unit -> unit
 (** Raise the process-wide interrupt line; every solve in flight stops
     with [Cancelled] at its next budget check.  Async-signal-safe (a
     single atomic store). *)
-
-val clear_interrupt : unit -> unit
-(** Lower the line again (tests; a CLI process exits instead). *)
-
-val interrupted : unit -> bool
-(** Whether the process-wide interrupt line is currently raised. *)
 
 val combine : t -> t -> t
 (** Tightest of two budgets in every dimension.  The cancellation flag
@@ -120,8 +107,8 @@ val zero : counters
 (** All counters at zero — the identity of {!add}. *)
 
 val add : counters -> counters -> counters
-(** Component-wise sum: how chain and portfolio responses aggregate
-    the spend of their stages/racers. *)
+(** Component-wise sum: how a fast-EC fallback, MaxSAT and the
+    preserving engines total the spend of their stages or probes. *)
 
 val consume : t -> counters -> t
 (** Remaining budget after the given expenditure, clamped at zero in

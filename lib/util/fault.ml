@@ -31,7 +31,7 @@ let default_seed = 0xFA17
 
 (* Production fast path: [armed] is false and every hook is one atomic
    read.  The table is only consulted once something is armed.
-   Portfolio racers run hooks from several domains at once: the scalar
+   Serve sessions run hooks from several domains at once: the scalar
    flags are [Atomic.t] (read without the lock, including from
    [set_seed] and [site_rng]), while the table itself — a compound
    structure whose entries mutate in place — sits behind [lock]. *)
@@ -143,16 +143,12 @@ let point site ?corrupt ?forge v =
 let sites =
   [ ("cdcl.solve", [ Raise_exn; Burn_budget ]);
     ("cdcl.answer", [ Corrupt_model; Forge_unsat ]);
-    ("dpll.solve", [ Raise_exn; Burn_budget ]);
-    ("dpll.answer", [ Corrupt_model; Forge_unsat ]);
     ("bnb.solve", [ Raise_exn; Burn_budget ]);
     ("bnb.answer", [ Corrupt_model; Forge_unsat ]);
     ("heuristic.solve", [ Raise_exn; Burn_budget ]);
     ("heuristic.answer", [ Corrupt_model; Forge_unsat ]);
     ("simplex.solve", [ Raise_exn; Burn_budget ]);
     ("maxsat.core", [ Corrupt_model ]);
-    ("portfolio.racer", [ Raise_exn ]);
-    ("portfolio.domain", [ Delay ]);
     ("serve.dispatch", [ Raise_exn; Delay ]);
     ("serve.session", [ Raise_exn; Burn_budget; Delay ]) ]
 

@@ -15,12 +15,10 @@
 
     Site catalog (see DESIGN.md §"Robustness"):
     - ["cdcl.solve"], ["cdcl.answer"]
-    - ["dpll.solve"], ["dpll.answer"]
     - ["bnb.solve"], ["bnb.answer"]
     - ["heuristic.solve"], ["heuristic.answer"]
     - ["simplex.solve"]
     - ["maxsat.core"]
-    - ["portfolio.racer"], ["portfolio.domain"]
     - ["serve.dispatch"], ["serve.session"]
 
     [*.solve] sites honor [Raise_exn] and [Burn_budget]; [*.answer]
@@ -28,10 +26,6 @@
     ["maxsat.core"] ([Corrupt_model]) rewrites an unsat core reported
     inside the core-guided MaxSAT loop — the drill proving a corrupted
     core degrades to an honest Unknown instead of a wrong optimum.
-    ["portfolio.racer"] ([Raise_exn]) kills one racer at its start;
-    ["portfolio.domain"] ([Delay]) stalls a racer's domain before it
-    begins — the chaos suite uses both to prove a crashed or slow
-    racer never loses the race for the others.
 
     ["serve.dispatch"] ([Raise_exn], [Delay]) fires in the daemon's
     request-dispatch loop; ["serve.session"] ([Raise_exn],
@@ -50,7 +44,7 @@ type action =
   | Forge_unsat     (** replace a positive answer with UNSAT/infeasible *)
   | Raise_exn       (** raise {!Injected} mid-solve *)
   | Burn_budget     (** zero the solve's allowance so it stops at once *)
-  | Delay           (** sleep ~50ms at the site (portfolio chaos) *)
+  | Delay           (** sleep ~50ms at the site (serve chaos) *)
 
 exception Injected of string
 (** Raised by a site armed with [Raise_exn]; the payload is the site
@@ -103,8 +97,8 @@ val maybe_raise : string -> unit
 (** Fire a [Raise_exn] armed at [site].  @raise Injected *)
 
 val maybe_delay : string -> unit
-(** Fire a [Delay] armed at [site]: sleep ~50ms.  Used by the
-    portfolio to simulate a stalled domain. *)
+(** Fire a [Delay] armed at [site]: sleep ~50ms.  Used by the serve
+    sites to simulate a stalled dispatcher or session. *)
 
 val burn : string -> Budget.t -> Budget.t
 (** [burn site budget] is an already-exhausted budget when [site] is

@@ -1,5 +1,4 @@
 type t = {
-  size : int;
   jobs : (unit -> unit) Queue.t;
   mutex : Mutex.t;
   nonempty : Condition.t;
@@ -29,18 +28,15 @@ let rec worker_loop pool =
 
 let create n =
   let pool =
-    { size = max 1 n;
-      jobs = Queue.create ();
+    { jobs = Queue.create ();
       mutex = Mutex.create ();
       nonempty = Condition.create ();
       shutting_down = false;
       domains = [] }
   in
   pool.domains <-
-    List.init pool.size (fun _ -> Domain.spawn (fun () -> worker_loop pool));
+    List.init (max 1 n) (fun _ -> Domain.spawn (fun () -> worker_loop pool));
   pool
-
-let size pool = pool.size
 
 let shutdown pool =
   Mutex.lock pool.mutex;
@@ -103,42 +99,3 @@ let map_list pool f xs =
   let futures = List.map (fun x -> submit pool (fun () -> f x)) xs in
   let results = List.map await futures in
   List.map (function Ok v -> v | Error e -> raise e) results
-
-type 'a outcome =
-  | Returned of 'a
-  | Raised of exn
-
-type 'a race_result = {
-  winner : int option;
-  results : 'a outcome array;
-}
-
-let race pool ~accept ~on_winner thunks =
-  let thunks = Array.of_list thunks in
-  let n = Array.length thunks in
-  if n = 0 then invalid_arg "Pool.race: no racers";
-  let wm = Mutex.create () in
-  let winner = ref None in
-  let futures =
-    Array.mapi
-      (fun i f ->
-        submit pool (fun () ->
-            let out = try Returned (f ()) with e -> Raised e in
-            (match out with
-            | Returned v when accept v ->
-              Mutex.lock wm;
-              let first = !winner = None in
-              if first then winner := Some i;
-              Mutex.unlock wm;
-              (* outside the lock: on_winner raises the shared cancel
-                 flag, which must not wait on race bookkeeping *)
-              if first then on_winner i
-            | Returned _ | Raised _ -> ());
-            out))
-      thunks
-  in
-  let results =
-    Array.map (fun fut -> match await fut with Ok out -> out | Error e -> Raised e)
-      futures
-  in
-  { winner = !winner; results }

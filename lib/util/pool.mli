@@ -3,34 +3,22 @@
     Workers are spawned once ({!create}) and loop over a shared job
     queue guarded by a [Mutex.t]/[Condition.t] pair — no dependency
     beyond the stdlib's [Domain].  Jobs are closures; their results
-    come back through {!await}able futures.  The pool is the substrate
-    for two parallel shapes used by the solver stack:
+    come back through {!await}able futures.  Two callers use it:
 
-    - {!map_list}: fan independent work items (harness instances,
-      bench rows) over the workers, preserving input order in the
-      result list;
-    - {!race}: run N competing thunks (portfolio engine configs) and
-      report the first whose result a predicate accepts, so the caller
-      can cancel the rest cooperatively via
-      {!Budget.cancel}.
+    - {!map_list}: the paper tables fan independent instances over the
+      workers, preserving input order in the result list;
+    - {!submit}: the serve daemon runs each session's queued requests
+      as jobs, and its watchdog stops an overdue one cooperatively
+      through the job's {!Budget} cancellation flag.
 
     Jobs submitted beyond the worker count queue up and run as workers
-    free — a race with more racers than workers still completes,
-    because cancelled late-starting racers exit at their first budget
-    check.  Do not {!await} from inside a pool job of the same pool:
-    a worker blocked on a queued job can deadlock the pool.  Nested
-    parallelism should use its own short-lived pool
-    ({!with_pool}). *)
+    free.  Do not {!await} from inside a pool job of the same pool: a
+    worker blocked on a queued job can deadlock the pool. *)
 
 type t
 
 val create : int -> t
 (** [create n] spawns [max 1 n] worker domains. *)
-
-val size : t -> int
-(** Number of worker domains — the [max 1 n] that {!create} spawned,
-    fixed for the pool's lifetime.  Callers size their fan-out with it
-    (e.g. the portfolio builds one racer per worker). *)
 
 val shutdown : t -> unit
 (** Finish queued jobs, then join all workers.  Idempotent.
@@ -55,25 +43,3 @@ val await : 'a future -> ('a, exn) result
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map.  Re-raises the first (in input
     order) exception any job raised, after all jobs finish. *)
-
-(** How one racer ended: a crashed racer is [Raised] and simply never
-    wins — it cannot lose the race for the others. *)
-type 'a outcome =
-  | Returned of 'a
-  | Raised of exn
-
-type 'a race_result = {
-  winner : int option;      (** index of the first accepted result *)
-  results : 'a outcome array;  (** every racer's outcome, in input order *)
-}
-
-val race :
-  t -> accept:('a -> bool) -> on_winner:(int -> unit) ->
-  (unit -> 'a) list -> 'a race_result
-(** Run all thunks on the pool.  The first finisher whose value
-    satisfies [accept] becomes the winner; [on_winner] fires exactly
-    once, immediately and on the winner's domain — this is where the
-    caller raises the shared {!Budget} cancellation flag so losers
-    stop at their next budget check.  Returns only after {e every}
-    racer has finished (losers finish promptly once cancelled), so the
-    caller can aggregate all racers' counters. *)

@@ -19,8 +19,8 @@
    3. Chrome trace-event output.  Spans are emitted as complete ("X")
       events with microsecond timestamps relative to [enable] time —
       one track per domain (tid = domain id), so nesting is by
-      containment and chrome://tracing / Perfetto render the portfolio
-      racers as parallel tracks. *)
+      containment and chrome://tracing / Perfetto render pool workers
+      (tables, serve sessions) as parallel tracks. *)
 
 type event = {
   ev_name : string;

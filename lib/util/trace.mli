@@ -1,8 +1,8 @@
 (** Structured tracing for the solve stack.
 
     The solve stack is instrumented {e permanently} — spans around
-    every backend solve, portfolio racer, chain stage, fast-EC phase,
-    certification pass and preprocessing pass — but recording is off
+    every backend solve, flow strategy, fast-EC phase, certification
+    pass and preprocessing pass — but recording is off
     by default and each site costs exactly one [Atomic.get] and a
     branch while disabled: no allocation, no clock read.  [ecsat
     --trace FILE] (or a test calling {!enable}) arms recording.

@@ -1,30 +1,6 @@
-type options = { budget : Ec_util.Budget.t }
-
-let default_options = { budget = Ec_util.Budget.unlimited }
-
-(* The reference solver is deliberately knob-free: an empty spec still
-   participates in the config plane (show/parse/digest) so the matrix
-   can key dpll cells like any other engine. *)
-let config =
-  Ec_util.Config.make ~engine:"dpll"
-    ~doc:"reference DPLL solver (chronological backtracking)"
-    ~defaults:default_options []
-
-type response = {
-  outcome : Outcome.t;
-  reason : Ec_util.Budget.reason;
-  counters : Ec_util.Budget.counters;
-}
-
-exception Budget of Ec_util.Budget.reason
-
 (* Simplified formula view: clauses as literal lists, absent clauses
    satisfied.  Assignments accumulate in an association stack. *)
-let solve_response ?(options = default_options) formula =
-  Ec_util.Fault.maybe_raise "dpll.solve";
-  let options = { budget = Ec_util.Fault.burn "dpll.solve" options.budget } in
-  let gauge = Ec_util.Budget.start options.budget in
-  let nodes = ref 0 in
+let solve formula =
   let module A = Ec_cnf.Assignment in
   let module C = Ec_cnf.Clause in
   let n = Ec_cnf.Formula.num_vars formula in
@@ -73,10 +49,6 @@ let solve_response ?(options = default_options) formula =
       tbl None
   in
   let rec search clauses trail =
-    incr nodes;
-    (match Ec_util.Budget.check gauge ~nodes:!nodes with
-    | Some r -> raise (Budget r)
-    | None -> ());
     match clauses with
     | [] -> Some trail
     | _ -> (
@@ -107,28 +79,12 @@ let solve_response ?(options = default_options) formula =
           | Some _ as r -> r
           | None -> try_lit (Ec_cnf.Lit.negate l))))
   in
-  let outcome, reason =
-    if Ec_cnf.Formula.has_empty_clause formula then
-      (Outcome.Unsat, Ec_util.Budget.Completed)
-    else
-      match search initial [] with
-      | Some trail ->
-        (* an assigned literal leaves every clause, so each variable
-           is on the trail at most once *)
-        let a =
-          A.of_list n (List.map (fun l -> (Ec_cnf.Lit.var l, Ec_cnf.Lit.is_positive l)) trail)
-        in
-        (Outcome.Sat a, Ec_util.Budget.Completed)
-      | None -> (Outcome.Unsat, Ec_util.Budget.Completed)
-      | exception Budget r -> (Outcome.Unknown r, r)
-  in
-  let outcome =
-    Ec_util.Fault.point "dpll.answer" ~corrupt:Outcome.corrupt ~forge:Outcome.forge_unsat
-      outcome
-  in
-  { outcome;
-    reason;
-    counters =
-      { Ec_util.Budget.zero with
-        spent_nodes = !nodes;
-        spent_wall_s = Ec_util.Budget.elapsed_s gauge } }
+  if Ec_cnf.Formula.has_empty_clause formula then Ec_sat.Outcome.Unsat
+  else
+    match search initial [] with
+    | Some trail ->
+      (* an assigned literal leaves every clause, so each variable is
+         on the trail at most once *)
+      Ec_sat.Outcome.Sat
+        (A.of_list n (List.map (fun l -> (Ec_cnf.Lit.var l, Ec_cnf.Lit.is_positive l)) trail))
+    | None -> Ec_sat.Outcome.Unsat

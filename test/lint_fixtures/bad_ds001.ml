@@ -5,7 +5,8 @@ let hit_count = ref 0
 
 let race_both f g =
   Ec_util.Pool.with_pool 2 (fun pool ->
-      Ec_util.Pool.race pool
-        ~accept:(fun _ -> true)
-        ~on_winner:(fun _ -> incr hit_count)
+      Ec_util.Pool.map_list pool
+        (fun h ->
+          incr hit_count;
+          h ())
         [ f; g ])

@@ -73,12 +73,13 @@ let test_consume () =
   check Alcotest.bool "unlimited survives" true (Bu.is_unlimited u)
 
 let test_cancel_flag () =
-  let b, flag = Bu.with_cancel (Bu.create ~conflicts:5 ()) in
+  let flag = Atomic.make false in
+  let b = Bu.create ~conflicts:5 ~cancel:flag () in
   check Alcotest.bool "fresh flag down" false (Bu.cancelled b);
   Atomic.set flag true;
   check Alcotest.bool "raised" true (Bu.cancelled b);
   Alcotest.check_raises "unlimited has no flag"
-    (Invalid_argument "Budget.cancel: budget has no cancellation flag (use ~cancel or with_cancel)")
+    (Invalid_argument "Budget.cancel: budget has no cancellation flag (use ~cancel)")
     (fun () -> Bu.cancel Bu.unlimited)
 
 (* ---- per-engine exhaustion, with the right reason ---- *)
@@ -95,23 +96,11 @@ let test_cdcl_reasons () =
   check reason "nodes 0" Bu.Node_budget r.Ec_sat.Cdcl.reason;
   let r = solve (Bu.of_time 0.0) searchy in
   check reason "deadline 0" Bu.Deadline r.Ec_sat.Cdcl.reason;
-  let b, flag = Bu.with_cancel Bu.unlimited in
-  Atomic.set flag true;
-  let r = solve b searchy in
+  let r = solve (Bu.create ~cancel:(Atomic.make true) ()) searchy in
   check reason "pre-cancelled" Bu.Cancelled r.Ec_sat.Cdcl.reason;
   (match r.Ec_sat.Cdcl.outcome with
   | O.Unknown why -> check reason "outcome carries reason" Bu.Cancelled why
   | O.Sat _ | O.Unsat -> Alcotest.fail "cancelled solve must be Unknown")
-
-let test_dpll_reason () =
-  let r =
-    Ec_sat.Dpll.solve_response
-      ~options:{ Ec_sat.Dpll.budget = Bu.create ~nodes:0 () }
-      searchy
-  in
-  check reason "dpll nodes 0" Bu.Node_budget r.Ec_sat.Dpll.reason;
-  check Alcotest.bool "at most one node counted" true
-    (r.Ec_sat.Dpll.counters.Bu.spent_nodes <= 1)
 
 let bnb_model () =
   let enc = Ec_core.Encode.of_formula searchy in
@@ -140,6 +129,22 @@ let test_heuristic_reason () =
   check reason "heuristic flips 0" Bu.Iteration_budget r.Ec_ilpsolver.Heuristic.reason;
   check Alcotest.bool "at most one flip spent" true
     (r.Ec_ilpsolver.Heuristic.counters.Bu.spent_iterations <= 1)
+
+(* A pre-raised flag stops every backend at its first budget tick — the
+   serve watchdog's cancellation, observed deterministically.  PHP(4,3)
+   is unsatisfiable and no engine refutes it without search, so the
+   flag is seen before any verdict. *)
+let test_engines_observe_cancellation () =
+  List.iter
+    (fun backend ->
+      let budget = Bu.create ~cancel:(Atomic.make true) () in
+      let r = Ec_core.Backend.solve_response ~budget backend (php 3) in
+      let name = Ec_core.Backend.name backend in
+      check reason ("cancelled: " ^ name) Bu.Cancelled r.Ec_core.Backend.reason;
+      match r.Ec_core.Backend.outcome with
+      | O.Unknown Bu.Cancelled -> ()
+      | _ -> Alcotest.fail (name ^ ": cancelled solve must be Unknown"))
+    Ec_core.Backend.[ cdcl; ilp_exact; ilp_heuristic; maxsat ]
 
 let test_simplex_interrupted () =
   match
@@ -261,10 +266,11 @@ let tests =
         Alcotest.test_case "cancellation flag" `Quick test_cancel_flag ] );
     ( "budget.engines",
       [ Alcotest.test_case "cdcl reasons" `Quick test_cdcl_reasons;
-        Alcotest.test_case "dpll node budget" `Quick test_dpll_reason;
         Alcotest.test_case "bnb node budget" `Quick test_bnb_reason;
         Alcotest.test_case "heuristic iteration budget" `Quick test_heuristic_reason;
         Alcotest.test_case "simplex pivot budget" `Quick test_simplex_interrupted;
+        Alcotest.test_case "every engine observes cancellation" `Quick
+          test_engines_observe_cancellation;
         Alcotest.test_case "generous budget bit-for-bit" `Quick
           test_generous_budget_bit_for_bit ] );
     ( "budget.chain",

@@ -32,16 +32,32 @@ let contains hay needle =
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   go 0
 
-let reject_jobs sub args () =
-  with_tiny_cnf (fun cnf ->
-      let code, err = run_ecsat (Printf.sprintf "%s %s %s" sub args cnf) in
-      Alcotest.(check int) (sub ^ " " ^ args ^ " exits 2") 2 code;
-      Alcotest.(check bool) "diagnostic names --jobs" true (contains err "--jobs"))
+(* tables takes no positional file; a bad --jobs must still fail
+   before any instance is generated. *)
+let test_tables_jobs_zero () =
+  let code, err = run_ecsat "tables --table 2 --jobs 0" in
+  Alcotest.(check int) "tables --jobs 0 exits 2" 2 code;
+  Alcotest.(check bool) "diagnostic names --jobs" true (contains err "--jobs")
 
-let test_jobs_one_still_solves () =
+(* The change flags of [fast]/[preserve] and the [tables] flags follow
+   the same convention: a bad value exits 2 with one stderr line naming
+   the flag, before the initial solve or any instance generation — not
+   an uncaught exception (exit 125), and not a silent exit 0. *)
+let reject_all flag invocations () =
+  List.iter
+    (fun args ->
+      let code, err = run_ecsat args in
+      Alcotest.(check int) (args ^ " exits 2") 2 code;
+      Alcotest.(check bool) (args ^ ": diagnostic names " ^ flag) true (contains err flag))
+    invocations
+
+let reject_change flag bad_args () =
   with_tiny_cnf (fun cnf ->
-      let code, _ = run_ecsat ("solve --jobs 1 " ^ cnf) in
-      Alcotest.(check int) "sequential path still answers SAT" 10 code)
+      reject_all flag
+        (List.concat_map
+           (fun sub -> List.map (fun a -> Printf.sprintf "%s %s %s" sub a cnf) bad_args)
+           [ "fast"; "preserve" ])
+        ())
 
 (* The same up-front convention for the observability sinks: an
    unwritable --trace/--metrics path must exit 2 with a diagnostic
@@ -121,11 +137,20 @@ let test_serve_stdio_roundtrip () =
 
 let tests =
   [ ( "cli.jobs-validation",
-      [ Alcotest.test_case "solve --jobs 0" `Quick (reject_jobs "solve" "--jobs 0");
-        Alcotest.test_case "solve --jobs negative" `Quick
-          (reject_jobs "solve" "--jobs=-4");
-        Alcotest.test_case "fast --jobs 0" `Quick (reject_jobs "fast" "--jobs 0");
-        Alcotest.test_case "--jobs 1 unaffected" `Quick test_jobs_one_still_solves ] );
+      [ Alcotest.test_case "tables --jobs 0" `Quick test_tables_jobs_zero ] );
+    ( "cli.flag-validation",
+      [ Alcotest.test_case "--add malformed clause" `Quick
+          (reject_change "--add" [ "--add=1,x,3"; "--add=1,0,3"; "--add=1,-1" ]);
+        Alcotest.test_case "--eliminate out of range" `Quick
+          (* the fixture has one variable *)
+          (reject_change "--eliminate" [ "-e 0"; "-e 2" ]);
+        Alcotest.test_case "tables --table out of range" `Quick
+          (reject_all "--table" [ "tables --table 4"; "tables --table 0" ]);
+        Alcotest.test_case "tables --trials below 1" `Quick
+          (reject_all "--trials" [ "tables --table 2 --scale 0.05 --trials 0" ]);
+        Alcotest.test_case "tables --scale not positive" `Quick
+          (reject_all "--scale" [ "tables --table 2 --scale=-1"; "tables --table 2 --scale 0" ])
+      ] );
     ( "cli.observability",
       [ Alcotest.test_case "solve --trace unwritable" `Quick
           (reject_sink "solve" "--trace");

@@ -80,7 +80,6 @@ let roundtrip_tests name spec gen =
 
 let all_roundtrips =
   roundtrip_tests "cdcl" Ec_sat.Cdcl.config gen_cdcl
-  @ roundtrip_tests "dpll" Ec_sat.Dpll.config (QCheck.Gen.return Ec_sat.Dpll.default_options)
   @ roundtrip_tests "bnb" Ec_ilpsolver.Bnb.config gen_bnb
   @ roundtrip_tests "heuristic" Ec_ilpsolver.Heuristic.config gen_heuristic
   @ roundtrip_tests "simplex" Ec_simplex.Simplex.config gen_simplex
@@ -141,40 +140,22 @@ let union_errors () =
     | Error _ -> ()
     | Ok _ -> Alcotest.fail "empty value accepted")
 
-let diversification_on_config_plane () =
-  (* The portfolio's diversified variants are expressible as config
-     strings, distinct from each other and from the default. *)
-  let d0 = EC.diversified_cdcl 0 and d1 = EC.diversified_cdcl 1 and d2 = EC.diversified_cdcl 2 in
-  Alcotest.(check string) "variant 0 is the default config"
-    (EC.show (Result.get_ok (EC.default "cdcl"))) (EC.show d0);
-  Alcotest.(check bool) "variants have distinct digests" true
-    (EC.digest d0 <> EC.digest d1 && EC.digest d1 <> EC.digest d2);
+(* Every backend is a config-plane value: [of_config (to_config b)]
+   gives back the same engine with the same canonical configuration. *)
+let backends_on_config_plane () =
   List.iter
-    (fun s ->
-      match EC.parse s with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "catalog entry %S: %s" s e)
-    EC.portfolio_catalog;
-  (* Backend mirrors the catalog: racer 2 of the default portfolio is
-     catalog entry 2, and every racer round-trips through the config
-     plane. *)
-  let racers = Ec_core.Backend.default_portfolio ~jobs:7 () in
-  Alcotest.(check int) "7 racers" 7 (List.length racers);
-  List.iteri
-    (fun i racer ->
-      let c = Ec_core.Backend.to_config racer in
+    (fun b ->
+      let name = Ec_core.Backend.name b in
+      let c = Ec_core.Backend.to_config b in
       match Ec_core.Backend.of_config c with
-      | Error e -> Alcotest.failf "racer %d not on the config plane: %s" i e
-      | Ok racer' ->
+      | Error e -> Alcotest.failf "%s not on the config plane: %s" name e
+      | Ok b' ->
+        Alcotest.(check string) (name ^ ": same engine") name (Ec_core.Backend.name b');
         Alcotest.(check string)
-          (Printf.sprintf "racer %d round-trips" i)
-          (Ec_core.Backend.name racer) (Ec_core.Backend.name racer'))
-    racers;
-  let catalog_shown =
-    List.map (fun s -> EC.show (Result.get_ok (EC.parse s))) EC.portfolio_catalog
-  in
-  let racer_shown = List.map (fun r -> EC.show (Ec_core.Backend.to_config r)) racers in
-  Alcotest.(check (list string)) "default portfolio = parsed catalog" catalog_shown racer_shown
+          (name ^ ": same configuration")
+          (EC.show c)
+          (EC.show (Ec_core.Backend.to_config b')))
+    Ec_core.Backend.[ cdcl; ilp_exact; ilp_heuristic; maxsat ]
 
 let simplex_not_a_backend () =
   match Ec_core.Backend.of_config (Result.get_ok (EC.default "simplex")) with
@@ -226,8 +207,8 @@ let tests =
       [ Alcotest.test_case "show/parse/digest round-trip per engine" `Quick union_roundtrip;
         Alcotest.test_case "partial forms parse from defaults" `Quick union_partial_parse;
         Alcotest.test_case "error paths name the offender" `Quick union_errors;
-        Alcotest.test_case "portfolio diversification is config-generated" `Quick
-          diversification_on_config_plane;
+        Alcotest.test_case "every backend round-trips through the config plane" `Quick
+          backends_on_config_plane;
         Alcotest.test_case "simplex is not a feasibility backend" `Quick
           simplex_not_a_backend;
         Alcotest.test_case "same digest, bit-identical result" `Quick

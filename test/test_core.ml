@@ -303,14 +303,16 @@ let prop_backends_agree =
   QCheck.Test.make ~name:"all four backends agree on satisfiability" ~count:60
     (QCheck.make ~print:F.to_string (formula_gen ~max_vars:7 ~max_clauses:16))
     (fun f ->
+      let verdict = function
+        | O.Sat a -> if A.satisfies a f then `Sat else `Broken
+        | O.Unsat -> `Unsat
+        | O.Unknown _ -> `Unknown
+      in
       let verdicts =
         List.map
-          (fun b ->
-            match (Ec_core.Backend.solve_response b f).outcome with
-            | O.Sat a -> if A.satisfies a f then `Sat else `Broken
-            | O.Unsat -> `Unsat
-            | O.Unknown _ -> `Unknown)
-          [ Ec_core.Backend.cdcl; Ec_core.Backend.dpll; Ec_core.Backend.ilp_exact ]
+          (fun b -> verdict (Ec_core.Backend.solve_response b f).outcome)
+          [ Ec_core.Backend.cdcl; Ec_core.Backend.ilp_exact ]
+        @ [ verdict (Dpll.solve f) ]
       in
       match verdicts with
       | [ a; b; c ] -> a <> `Broken && a = b && b = c
@@ -331,8 +333,8 @@ let test_backend_empty_clause () =
     (fun b ->
       check Alcotest.string "empty clause unsat" "unsat"
         (O.to_string (Ec_core.Backend.solve_response b f).outcome))
-    [ Ec_core.Backend.cdcl; Ec_core.Backend.dpll; Ec_core.Backend.ilp_exact;
-      Ec_core.Backend.ilp_heuristic ]
+    [ Ec_core.Backend.cdcl; Ec_core.Backend.ilp_exact; Ec_core.Backend.ilp_heuristic;
+      Ec_core.Backend.maxsat ]
 
 (* ---- Flow ---- *)
 
@@ -385,6 +387,22 @@ let test_flow_unsat_change () =
     | None -> ()
     | Some _ -> Alcotest.fail "contradictory change must fail")
 
+(* Each strategy runs one solver on the calling domain; [~jobs] is
+   accepted only as 1. *)
+let test_flow_jobs_must_be_one () =
+  let f = F.of_lists ~num_vars:2 [ [ 1; 2 ] ] in
+  match Ec_core.Flow.solve_initial f with
+  | None -> Alcotest.fail "satisfiable"
+  | Some init ->
+    Alcotest.(check bool) "jobs 1 answers" true
+      ((Ec_core.Flow.apply_change_response ~jobs:1 init []).result <> None);
+    List.iter
+      (fun jobs ->
+        match Ec_core.Flow.apply_change_response ~jobs init [] with
+        | exception Invalid_argument _ -> ()
+        | _ -> Alcotest.failf "~jobs:%d must raise Invalid_argument" jobs)
+      [ 2; 0 ]
+
 let tests =
   [ ( "core.encode",
       [ Alcotest.test_case "structure" `Quick test_encode_structure;
@@ -413,4 +431,5 @@ let tests =
         qtest prop_backends_agree ] );
     ( "core.flow",
       [ Alcotest.test_case "end to end" `Quick test_flow_end_to_end;
-        Alcotest.test_case "unsatisfiable change" `Quick test_flow_unsat_change ] ) ]
+        Alcotest.test_case "unsatisfiable change" `Quick test_flow_unsat_change;
+        Alcotest.test_case "jobs other than 1 rejected" `Quick test_flow_jobs_must_be_one ] ) ]

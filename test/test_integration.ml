@@ -132,7 +132,7 @@ let prop_four_way_agreement =
       let verdicts =
         [ O.is_sat (Ec_sat.Preprocess.solve_with_preprocessing f);
           O.is_sat (Ec_sat.Cdcl.solve_response f).outcome;
-          O.is_sat (Ec_sat.Dpll.solve_response f).outcome;
+          O.is_sat (Dpll.solve f);
           (match (Ec_core.Backend.solve_response Ec_core.Backend.ilp_exact f).outcome with
           | O.Sat _ -> true
           | O.Unsat -> false

@@ -222,12 +222,31 @@ let test_solve_counters_match_response () =
       check Alcotest.bool "the solve actually decided something" true
         (c.Ec_util.Budget.spent_nodes > 0))
 
-let test_portfolio_counters_reconcile () =
+(* A Fast request whose change makes the formula unsatisfiable runs two
+   solves: the cone, which is unsatisfiable, then the full re-solve
+   that proves it.  The response carries their summed spend, and the
+   per-engine metrics must add up to the same totals. *)
+let test_fast_fallback_counters_reconcile () =
   with_clean_slate (fun () ->
+      let init =
+        match Ec_core.Flow.solve_initial fixture_formula with
+        | Some i -> i
+        | None -> Alcotest.fail "fixture must be satisfiable"
+      in
+      (* every phase pair of two fresh variables excluded *)
+      let script =
+        List.map
+          (fun lits ->
+            Ec_cnf.Change.Add_clause (Ec_cnf.Clause.make (List.map Ec_cnf.Lit.of_int lits)))
+          [ [ 7; 8 ]; [ 7; -8 ]; [ -7; 8 ]; [ -7; -8 ] ]
+      in
       Metrics.enable ();
-      let racers = B.default_portfolio ~jobs:2 () in
-      let pr = B.solve_portfolio racers fixture_formula in
-      let agg = pr.B.response.B.counters in
+      let r = Ec_core.Flow.apply_change_response ~strategy:Ec_core.Flow.Fast init script in
+      check Alcotest.bool "proved unsatisfiable" true
+        (r.Ec_core.Flow.result = None && r.Ec_core.Flow.reason = Ec_util.Budget.Completed);
+      check Alcotest.int "the cone solve, then the full re-solve" 2
+        (counter_value "solve.cdcl.calls");
+      check Alcotest.int "one fallback" 1 (counter_value "flow.fast_fallback");
       let summed suffix =
         List.fold_left
           (fun acc item ->
@@ -240,12 +259,13 @@ let test_portfolio_counters_reconcile () =
             | _ -> acc)
           0 (Metrics.snapshot ())
       in
-      (* The winner's response carries the aggregate counters over all
-         racers; the per-engine metrics must sum to the same totals. *)
-      check Alcotest.int "conflicts sum across engines"
-        agg.Ec_util.Budget.spent_conflicts (summed "conflicts");
-      check Alcotest.int "decisions sum across engines"
-        agg.Ec_util.Budget.spent_nodes (summed "decisions"))
+      let c = r.Ec_core.Flow.counters in
+      check Alcotest.int "conflicts sum across solves" c.Ec_util.Budget.spent_conflicts
+        (summed "conflicts");
+      check Alcotest.int "decisions sum across solves" c.Ec_util.Budget.spent_nodes
+        (summed "decisions");
+      check Alcotest.bool "the solves really conflicted" true
+        (c.Ec_util.Budget.spent_conflicts > 0))
 
 (* ---- determinism ---- *)
 
@@ -318,8 +338,8 @@ let tests =
     ( "observability.reconciliation",
       [ Alcotest.test_case "solve counters match response" `Quick
           test_solve_counters_match_response;
-        Alcotest.test_case "portfolio counters reconcile" `Quick
-          test_portfolio_counters_reconcile;
+        Alcotest.test_case "fast fallback counters reconcile" `Quick
+          test_fast_fallback_counters_reconcile;
         Alcotest.test_case "two runs, identical counters" `Quick
           test_two_runs_identical_counters;
         Alcotest.test_case "tracing changes no answers" `Quick

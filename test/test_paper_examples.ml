@@ -50,7 +50,7 @@ let test_v3_elimination_repair () =
      change the assignment of variable v4 ... this clause will again be
      satisfied" — after eliminating v3, E needs only a local flip. *)
   let f' = F.eliminate_var f1 3 in
-  let r = Ec_core.Fast_ec.resolve ~backend:Ec_core.Backend.dpll f' e1 in
+  let r = Ec_core.Fast_ec.resolve ~backend:Ec_core.Backend.ilp_exact f' e1 in
   match r.Ec_core.Fast_ec.solution with
   | Some a ->
     check Alcotest.bool "repaired" true (A.satisfies a f');

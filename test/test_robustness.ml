@@ -3,9 +3,9 @@
    The robustness contract is two-sided.  Safety: no uncertified Sat
    ever leaves Backend/Flow, whatever an engine does — corrupt models
    and forged verdicts are demoted to [Unknown (Engine_failure _)].
-   Liveness: one broken engine degrades gracefully — a portfolio's
-   other racers still answer, the randomized engine is retried
-   reseeded, and an exhausted plan leaves the stack working again.
+   Liveness: one broken engine degrades gracefully — the randomized
+   engine is retried reseeded, the fast-EC flow falls back to a full
+   re-solve, and an exhausted plan leaves the stack working again.
 
    Every test arms an explicit plan through Ec_util.Fault and resets
    in teardown, so suites stay order-independent.  The corruption
@@ -106,17 +106,6 @@ let test_forged_unsat_refuted () =
       check Alcotest.bool "reason matches the outcome" true
         (O.Unknown r.B.reason = r.B.outcome))
 
-let test_forged_unsat_portfolio_recovers () =
-  let w = witness_of sat_formula in
-  with_faults "cdcl.answer=forge-unsat" (fun () ->
-      (* Only the CDCL racer lies; its refuted verdict must not win, and
-         the DPLL racer must deliver a certified model. *)
-      let pr = B.solve_portfolio ~hint:w [ B.cdcl; B.dpll ] sat_formula in
-      let r = pr.B.response in
-      assert_safe sat_formula r.B.outcome;
-      check Alcotest.bool "honest racer answered" true (O.is_sat r.B.outcome);
-      check Alcotest.string "winner is the honest racer" "dpll" r.B.engine)
-
 (* Without a witness a forged UNSAT is indistinguishable from a real
    one — the documented limit.  It must still not crash or turn into
    an uncertified Sat. *)
@@ -137,14 +126,6 @@ let test_raise_contained site backend () =
           (String.length detail > 0)
       | O.Sat _ | O.Unsat | O.Unknown _ ->
         Alcotest.fail (site ^ ": injected exception was not contained"))
-
-let test_raise_portfolio_survives () =
-  with_faults "cdcl.solve=raise" (fun () ->
-      let pr = B.solve_portfolio [ B.cdcl; B.dpll ] sat_formula in
-      let r = pr.B.response in
-      assert_safe sat_formula r.B.outcome;
-      check Alcotest.bool "healthy racer answered" true (O.is_sat r.B.outcome);
-      check Alcotest.string "winner is the healthy racer" "dpll" r.B.engine)
 
 (* ---- budget burn degrades, not corrupts ---- *)
 
@@ -258,7 +239,7 @@ let test_plan_parsing () =
   in
   ok "cdcl.answer=corrupt";
   ok "seed=7;cdcl.answer=corrupt;bnb.solve=raise:1";
-  ok " dpll.answer = forge-unsat : 2 ; heuristic.solve = burn ";
+  ok " cdcl.answer = forge-unsat : 2 ; heuristic.solve = burn ";
   ok "";
   bad "bogus";
   bad "cdcl.answer=explode";
@@ -347,26 +328,18 @@ let tests =
   [ ( "robustness.containment",
       [ Alcotest.test_case "cdcl corrupt demoted" `Quick
           (test_corrupt_demoted "cdcl.answer" B.cdcl);
-        Alcotest.test_case "dpll corrupt demoted" `Quick
-          (test_corrupt_demoted "dpll.answer" B.dpll);
         Alcotest.test_case "bnb corrupt safe" `Quick
           (test_corrupt_ilp_safe "bnb.answer" B.ilp_exact);
         Alcotest.test_case "heuristic corrupt safe" `Quick
           (test_corrupt_ilp_safe "heuristic.answer" B.ilp_heuristic);
         Alcotest.test_case "forged unsat refuted by witness" `Quick
           test_forged_unsat_refuted;
-        Alcotest.test_case "forged unsat: portfolio recovers" `Quick
-          test_forged_unsat_portfolio_recovers;
         Alcotest.test_case "forged unsat without witness stays safe" `Quick
           test_forged_unsat_without_witness;
         Alcotest.test_case "cdcl raise contained" `Quick
           (test_raise_contained "cdcl.solve" B.cdcl);
-        Alcotest.test_case "dpll raise contained" `Quick
-          (test_raise_contained "dpll.solve" B.dpll);
         Alcotest.test_case "bnb raise contained" `Quick
           (test_raise_contained "bnb.solve" B.ilp_exact);
-        Alcotest.test_case "raise: portfolio survives" `Quick
-          test_raise_portfolio_survives;
         Alcotest.test_case "cdcl burn degrades" `Quick
           (test_burn_degrades "cdcl.solve" B.cdcl);
         Alcotest.test_case "bnb burn degrades" `Quick

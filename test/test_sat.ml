@@ -1,5 +1,6 @@
-(* Tests for Ec_sat: Dpll, Cdcl (cross-checked against each other and
-   brute force), Cardinality, Minimize. *)
+(* Tests for Ec_sat: Cdcl (cross-checked against the test suite's
+   DPLL oracle and brute force), Cardinality, Minimize — and the DPLL
+   oracle itself against brute force. *)
 
 let check = Alcotest.check
 
@@ -47,36 +48,23 @@ let brute_sat f =
 
 let prop_dpll_correct =
   QCheck.Test.make ~name:"dpll = brute force" ~count:300 arb_formula (fun f ->
-      match (Ec_sat.Dpll.solve_response f).outcome with
+      match Dpll.solve f with
       | O.Sat a -> A.satisfies a f
       | O.Unsat -> not (brute_sat f)
       | O.Unknown _ -> false)
 
-let test_dpll_budget () =
-  let f =
-    F.of_lists ~num_vars:20
-      (List.init 60 (fun i -> [ 1 + (i mod 20); -(1 + ((i + 7) mod 20)); 1 + ((i + 13) mod 20) ]))
-  in
-  match
-    (Ec_sat.Dpll.solve_response
-      ~options:{ Ec_sat.Dpll.budget = Ec_util.Budget.create ~nodes:1 () }
-      f).outcome
-  with
-  | O.Unknown _ -> ()
-  | O.Sat _ | O.Unsat -> Alcotest.fail "1-node budget must give Unknown"
-
 let test_dpll_trivial () =
   check Alcotest.string "empty formula" "sat"
-    (O.to_string (Ec_sat.Dpll.solve_response (F.of_lists ~num_vars:3 [])).outcome);
+    (O.to_string (Dpll.solve (F.of_lists ~num_vars:3 [])));
   check Alcotest.string "empty clause" "unsat"
-    (O.to_string (Ec_sat.Dpll.solve_response (F.create ~num_vars:1 [ C.make [] ])).outcome)
+    (O.to_string (Dpll.solve (F.create ~num_vars:1 [ C.make [] ])))
 
 (* ---- Cdcl ---- *)
 
 let prop_cdcl_matches_dpll =
   QCheck.Test.make ~name:"cdcl = dpll on random formulas" ~count:300 arb_formula
     (fun f ->
-      let d = (Ec_sat.Dpll.solve_response f).outcome in
+      let d = Dpll.solve f in
       let c = (Ec_sat.Cdcl.solve_response f).outcome in
       match (d, c) with
       | O.Sat a, O.Sat b -> A.satisfies a f && A.satisfies b f
@@ -291,7 +279,6 @@ let test_minimize_dc_gain () =
 let tests =
   [ ( "sat.dpll",
       [ Alcotest.test_case "trivial cases" `Quick test_dpll_trivial;
-        Alcotest.test_case "budget" `Quick test_dpll_budget;
         qtest prop_dpll_correct ] );
     ( "sat.cdcl",
       [ Alcotest.test_case "units and conflicts at load" `Quick

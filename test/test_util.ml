@@ -1,4 +1,4 @@
-(* Tests for Ec_util: Vec, Rng, Stats, Tablefmt, Idx_heap. *)
+(* Tests for Ec_util: Vec, Rng, Stats, Tablefmt, Idx_heap, Pool. *)
 
 let check = Alcotest.check
 
@@ -263,6 +263,23 @@ let heap_rescale_preserves_order =
       List.init n (fun _ -> Ec_util.Idx_heap.pop_max h1)
       = List.init n (fun _ -> Ec_util.Idx_heap.pop_max h2))
 
+(* ---- Pool ---- *)
+
+let test_pool_map_order () =
+  let xs = List.init 40 Fun.id in
+  let ys =
+    Ec_util.Pool.with_pool 4 (fun pool -> Ec_util.Pool.map_list pool (fun x -> x * x) xs)
+  in
+  Alcotest.(check (list int)) "order preserved" (List.map (fun x -> x * x) xs) ys
+
+let test_pool_shutdown () =
+  let pool = Ec_util.Pool.create 2 in
+  Ec_util.Pool.shutdown pool;
+  Ec_util.Pool.shutdown pool (* idempotent *);
+  match Ec_util.Pool.submit pool (fun () -> ()) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "submit after shutdown must be rejected"
+
 let qtest = QCheck_alcotest.to_alcotest
 
 let tests =
@@ -296,4 +313,7 @@ let tests =
         Alcotest.test_case "bump while in" `Quick test_heap_bump_while_in;
         Alcotest.test_case "reinsert" `Quick test_heap_reinsert;
         qtest heap_sorts;
-        qtest heap_rescale_preserves_order ] ) ]
+        qtest heap_rescale_preserves_order ] );
+    ( "util.pool",
+      [ Alcotest.test_case "map_list preserves order" `Quick test_pool_map_order;
+        Alcotest.test_case "shutdown is final and idempotent" `Quick test_pool_shutdown ] ) ]
