@@ -150,6 +150,16 @@ echo "$SCALES_ERR" | grep -q -- '--matrix-scales' \
 cmp -s "$STORE_BEFORE" bench/results.jsonl \
   || { echo "matrix: a rejected --matrix-scales changed the store"; exit 1; }
 echo "matrix: --matrix-scales 0,-3 rejected (exit 2), store unchanged"
+# The same convention for instance generation: a non-positive --scale
+# exits 2 naming the flag and writes nothing.
+status=0
+GEN_OUT=$(dune exec bin/ecsat.exe -- gen par8-1-c --scale=-1 2>/dev/null) || status=$?
+GEN_ERR=$(dune exec bin/ecsat.exe -- gen par8-1-c --scale=-1 2>&1 >/dev/null) || true
+[ "$status" -eq 2 ] || { echo "gen: --scale=-1 expected exit 2, got $status"; exit 1; }
+echo "$GEN_ERR" | grep -q -- '--scale' \
+  || { echo "gen: the rejection does not name --scale"; exit 1; }
+[ -z "$GEN_OUT" ] || { echo "gen: a rejected --scale wrote output"; exit 1; }
+echo "gen: --scale=-1 rejected (exit 2), nothing written"
 matrix_commit=$(git rev-parse --short HEAD 2>/dev/null || echo dev)
 dune exec bench/main.exe -- --matrix-scales 24 \
   --store bench/results.jsonl --commit "$matrix_commit"

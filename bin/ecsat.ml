@@ -154,6 +154,14 @@ let check_jobs jobs =
     exit 2
   end
 
+(* [gen] and [tables] shrink instances by [--scale]; zero, negative and
+   NaN factors are rejected the same way before anything is built. *)
+let check_positive flag v =
+  if not (v > 0.0) then begin
+    Printf.eprintf "ecsat: %s must be > 0 (got %g)\n" flag v;
+    exit 2
+  end
+
 (* SIGTERM/SIGINT during a one-shot command raise the process-wide
    budget interrupt line ([Budget.interrupt]): every running gauge —
    including harness workers, whose budgets the handler never sees —
@@ -464,6 +472,7 @@ let preprocess_cmd =
 
 let gen_cmd =
   let run instance_name scale output =
+    check_positive "--scale" scale;
     match Ec_instances.Registry.find instance_name with
     | exception Not_found ->
       Printf.eprintf "unknown instance %S; known: %s\n" instance_name
@@ -528,10 +537,7 @@ let tables_cmd =
       exit 2
     | Some _ | None -> ());
     check_min "--trials" 1 trials;
-    if not (scale > 0.0) then begin
-      Printf.eprintf "ecsat: --scale must be > 0 (got %g)\n" scale;
-      exit 2
-    end;
+    check_positive "--scale" scale;
     let preserving = tables_preserving_of_name engine_name in
     install_interrupt_handlers ();
     with_observability ~trace ~metrics @@ fun () ->

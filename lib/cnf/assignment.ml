@@ -60,19 +60,37 @@ let lit_false t l =
   | False -> Lit.is_positive l
   | Dc -> false
 
-let clause_sat_count t c = Clause.fold (fun n l -> if lit_true t l then n + 1 else n) 0 c
+(* The scans below loop over the literal and clause arrays directly: a
+   closure per clause would make every model check allocate. *)
+let clause_sat_count t c =
+  let lits = Clause.lits c in
+  let n = ref 0 in
+  for i = 0 to Array.length lits - 1 do
+    if lit_true t lits.(i) then incr n
+  done;
+  !n
 
-let satisfies_clause t c = Clause.exists (lit_true t) c
+let rec lit_true_from t lits i =
+  i < Array.length lits && (lit_true t lits.(i) || lit_true_from t lits (i + 1))
+
+let satisfies_clause t c = lit_true_from t (Clause.lits c) 0
 
 let satisfies t f =
-  let sat = ref true in
-  Formula.iteri (fun _ c -> if not (satisfies_clause t c) then sat := false) f;
-  !sat
+  let cs = Formula.clauses f in
+  let n = Array.length cs in
+  let i = ref 0 in
+  while !i < n && satisfies_clause t cs.(!i) do
+    incr i
+  done;
+  !i = n
 
 let unsatisfied_clauses t f =
+  let cs = Formula.clauses f in
   let acc = ref [] in
-  Formula.iteri (fun i c -> if not (satisfies_clause t c) then acc := i :: !acc) f;
-  List.rev !acc
+  for i = Array.length cs - 1 downto 0 do
+    if not (satisfies_clause t (Array.unsafe_get cs i)) then acc := i :: !acc
+  done;
+  !acc
 
 let assigned_vars t =
   let acc = ref [] in

@@ -20,7 +20,27 @@ let apply f = function
   | Add_var -> Formula.add_var f
   | Eliminate_var v -> Formula.eliminate_var f v
 
-let apply_script f script = List.fold_left apply f script
+(* Each run of eliminations is one [Formula.eliminate_vars] and each
+   run of additions one [Formula.add_clauses]: the same clauses in the
+   same order as the change-by-change fold, with one array copy per
+   run. *)
+let rec apply_script f = function
+  | [] -> f
+  | Eliminate_var _ :: _ as script ->
+    let rec run vs = function
+      | Eliminate_var v :: rest -> run (v :: vs) rest
+      | rest -> (List.rev vs, rest)
+    in
+    let vs, rest = run [] script in
+    apply_script (Formula.eliminate_vars f vs) rest
+  | Add_clause _ :: _ as script ->
+    let rec run cs = function
+      | Add_clause c :: rest -> run (c :: cs) rest
+      | rest -> (List.rev cs, rest)
+    in
+    let cs, rest = run [] script in
+    apply_script (Formula.add_clauses f cs) rest
+  | ((Remove_clause _ | Add_var) as ch) :: rest -> apply_script (apply f ch) rest
 
 let random_polarity rng v = if Ec_util.Rng.bool rng then v else -v
 

@@ -21,7 +21,13 @@ let size = Array.length
 
 let is_empty c = Array.length c = 0
 
-let mem l c = Array.exists (Lit.equal l) c
+let mem l c =
+  let n = Array.length c in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get c !i <> l do
+    incr i
+  done;
+  !i < n
 
 let mem_var v c = Array.exists (fun l -> Lit.var l = v) c
 
@@ -33,9 +39,26 @@ let fold f acc c = Array.fold_left f acc c
 
 let iter = Array.iter
 
-let remove_var v c =
-  if mem_var v c then Array.of_list (List.filter (fun l -> Lit.var l <> v) (Array.to_list c))
-  else c
+(* A subsequence of a sorted duplicate-free array is one too. *)
+let filter keep c =
+  let kept = ref 0 in
+  for i = 0 to Array.length c - 1 do
+    if keep c.(i) then incr kept
+  done;
+  let kept = !kept in
+  if kept = Array.length c then c
+  else begin
+    let out = Array.make kept 0 in
+    let j = ref 0 in
+    Array.iter
+      (fun l ->
+        if keep l then begin
+          out.(!j) <- l;
+          incr j
+        end)
+      c;
+    out
+  end
 
 let max_var c = Array.fold_left (fun m l -> max m (Lit.var l)) 0 c
 

@@ -38,9 +38,11 @@ val fold : ('acc -> Lit.t -> 'acc) -> 'acc -> t -> 'acc
 
 val iter : (Lit.t -> unit) -> t -> unit
 
-val remove_var : int -> t -> t
-(** The clause with every occurrence of the variable deleted; used by
-    variable elimination.  Result may be empty. *)
+val filter : (Lit.t -> bool) -> t -> t
+(** The literals satisfying the predicate, in order, so the result is
+    normalized too; the clause itself when every literal is kept.
+    Variable elimination deletes a variable's literals with it.  Result
+    may be empty. *)
 
 val max_var : t -> int
 (** 0 for the empty clause. *)

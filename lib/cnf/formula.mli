@@ -5,7 +5,30 @@
     mention fewer variables than [num_vars] (e.g. after a variable is
     added as an engineering change, or eliminated).  All mutation-style
     operations return fresh formulas, so the EC flow can keep the
-    original and modified instances side by side. *)
+    original and modified instances side by side.
+
+    {2 Occurrence index}
+
+    Occurrence queries read a compressed index: one start offset per
+    literal into one flat array of clause indices, each literal's run
+    ascending.  A formula made by {!create}, {!of_lists} or
+    {!remove_clause} builds its own index at its first query.  A
+    formula made by {!add_clauses}, {!eliminate_vars} or {!add_var}
+    shares the index of the formula it came from (its root) instead: it
+    records the root, the length of the clause prefix it shares with
+    the root, and the variables it eliminated, and answers a query from
+    the root's index, minus the eliminated variables, plus a scan of
+    its own appended clauses.  Once those scans have visited more
+    clauses than one index build costs, it builds its own index, so
+    queries stay amortized O(formula); a formula with its own index is
+    the root of what is derived from it, and chains stay one level
+    deep.  A base formula's index is therefore built once however many
+    changes are applied to it.
+
+    The index and the scan count are filled in lazily, so pool domains
+    that share a formula may race on them.  The race is benign: each
+    write stores a complete value, and a query answers the same from
+    either state. *)
 
 type t
 
@@ -35,13 +58,20 @@ val fold : ('acc -> Clause.t -> 'acc) -> 'acc -> t -> 'acc
 val has_empty_clause : t -> bool
 (** An empty clause makes the formula trivially unsatisfiable. *)
 
+val iter_occurrences : (int -> unit) -> t -> Lit.t -> unit
+(** Calls the function on the index of each clause containing the
+    literal (exact phase), in ascending order. *)
+
+val count_occurrences : t -> Lit.t -> int
+(** Number of clauses containing the literal (exact phase). *)
+
 val occurrences : t -> Lit.t -> int list
-(** Indices of the clauses containing the literal (exact phase).
-    The occurrence index is computed lazily once per formula. *)
+(** Indices of the clauses containing the literal (exact phase),
+    ascending. *)
 
 val var_occurrences : t -> int -> int list
 (** Indices of clauses containing either phase of the variable,
-    duplicate-free. *)
+    ascending and duplicate-free. *)
 
 val add_clause : t -> Clause.t -> t
 (** Append one clause (engineering change: new constraint).
@@ -49,6 +79,7 @@ val add_clause : t -> Clause.t -> t
     variable count. *)
 
 val add_clauses : t -> Clause.t list -> t
+(** Append the clauses in order, with one copy of the clause array. *)
 
 val remove_clause : t -> int -> t
 (** Drop the clause at an index (engineering change: constraint
@@ -66,6 +97,13 @@ val eliminate_var : t -> int -> t
     empty, making the instance unsatisfiable — callers decide how to
     react.
     @raise Invalid_argument if the variable is out of range. *)
+
+val eliminate_vars : t -> int list -> t
+(** [eliminate_vars t vs] is [t] with each variable of [vs] eliminated
+    as by {!eliminate_var}, in one copy of the clause array that
+    rewrites only the clauses the index lists for those variables.
+    The result equals the left fold of {!eliminate_var} over [vs].
+    @raise Invalid_argument if some variable is out of range. *)
 
 val vars_used : t -> int list
 (** Sorted list of variables with at least one occurrence. *)

@@ -13,6 +13,16 @@ let cone_clauses = Ec_util.Metrics.histogram "fast_ec.cone_clauses"
 
 let already_satisfied_count = Ec_util.Metrics.counter "fast_ec.already_satisfied"
 
+(* Is some literal from index [i] on true under [p] on a variable
+   outside the cone? *)
+let rec true_outside in_v p lits i =
+  i < Array.length lits
+  &&
+  let l = lits.(i) in
+  if in_v.(Ec_cnf.Lit.var l) || not (Ec_cnf.Assignment.lit_true p l) then
+    true_outside in_v p lits (i + 1)
+  else true
+
 let simplify f p =
   Ec_util.Trace.span ~cat:"fast_ec"
     ~result_args:(fun s ->
@@ -41,45 +51,41 @@ let simplify f p =
     let mark i =
       if not marked.(i) then begin
         marked.(i) <- true;
-        Ec_cnf.Clause.iter (fun l -> add_var (Ec_cnf.Lit.var l)) (Ec_cnf.Formula.clause f i)
+        let lits = Ec_cnf.Clause.lits (Ec_cnf.Formula.clause f i) in
+        for j = 0 to Array.length lits - 1 do
+          add_var (Ec_cnf.Lit.var lits.(j))
+        done
       end
     in
     List.iter mark unsat;
     (* Fixpoint: a clause touching V is safe only if satisfied by a
        variable outside V; otherwise it joins the cone. *)
+    let visit i =
+      if not marked.(i) then begin
+        let lits = Ec_cnf.Clause.lits (Ec_cnf.Formula.clause f i) in
+        if not (true_outside in_v p lits 0) then mark i
+      end
+    in
     while not (Queue.is_empty queue) do
       let v = Queue.pop queue in
-      List.iter
-        (fun i ->
-          if not marked.(i) then begin
-            let c = Ec_cnf.Formula.clause f i in
-            let safe =
-              Ec_cnf.Clause.exists
-                (fun l ->
-                  (not in_v.(Ec_cnf.Lit.var l)) && Ec_cnf.Assignment.lit_true p l)
-                c
-            in
-            if not safe then mark i
-          end)
-        (Ec_cnf.Formula.var_occurrences f v)
+      Ec_cnf.Formula.iter_occurrences visit f v;
+      Ec_cnf.Formula.iter_occurrences visit f (-v)
     done;
-    let vars = List.filter (fun v -> in_v.(v)) (List.init n (fun i -> i + 1)) in
+    let vars = ref [] in
+    for v = n downto 1 do
+      if in_v.(v) then vars := v :: !vars
+    done;
     let marked_idx = ref [] in
     let sub_clauses = ref [] in
+    let in_cone l = in_v.(Ec_cnf.Lit.var l) in
     for i = Ec_cnf.Formula.num_clauses f - 1 downto 0 do
       if marked.(i) then begin
         marked_idx := i :: !marked_idx;
-        let c = Ec_cnf.Formula.clause f i in
-        let kept =
-          Ec_cnf.Clause.fold
-            (fun acc l -> if in_v.(Ec_cnf.Lit.var l) then l :: acc else acc)
-            [] c
-        in
-        sub_clauses := Ec_cnf.Clause.make kept :: !sub_clauses
+        sub_clauses := Ec_cnf.Clause.filter in_cone (Ec_cnf.Formula.clause f i) :: !sub_clauses
       end
     done;
     { sub_formula = Ec_cnf.Formula.create ~num_vars:n !sub_clauses;
-      vars;
+      vars = !vars;
       marked = !marked_idx;
       already_satisfied = false }
   end

@@ -84,7 +84,8 @@ type solver = {
   mutable clauses : clause list;        (* problem clauses *)
   mutable learnts : clause list;
   mutable n_learnts : int;
-  watches : clause Ec_util.Vec.t array; (* per literal *)
+  watches : clause Ec_util.Vec.t array; (* per literal; [no_watches] until the first *)
+  no_watches : clause Ec_util.Vec.t;    (* empty, never pushed to *)
   (* branching *)
   heap : Ec_util.Idx_heap.t;
   phase : bool array;
@@ -111,7 +112,11 @@ let value_lit s l =
   let a = s.assigns.(var_of l) in
   if a < 0 then -1 else if is_pos l then a else 1 - a
 
+(* Only variables that some loaded clause mentions enter the decision
+   heap; the rest keep their saved phase, which is the value a decision
+   would have given them. *)
 let create_solver_raw (options : options) n =
+  let no_watches = Ec_util.Vec.create ~dummy:dummy_clause () in
   let s =
     { nvars = n;
       assigns = Array.make (max n 1) (-1);
@@ -125,7 +130,8 @@ let create_solver_raw (options : options) n =
       clauses = [];
       learnts = [];
       n_learnts = 0;
-      watches = Array.init (max (2 * n) 1) (fun _ -> Ec_util.Vec.create ~dummy:dummy_clause ());
+      watches = Array.make (max (2 * n) 1) no_watches;
+      no_watches;
       heap = Ec_util.Idx_heap.create (max n 1);
       phase = Array.make (max n 1) false;
       var_inc = 1.0;
@@ -148,11 +154,12 @@ let create_solver_raw (options : options) n =
       | Ec_cnf.Assignment.False | Ec_cnf.Assignment.Dc -> ()
     done);
   (* Slightly randomized initial order so reruns with different seeds
-     explore differently. *)
+     explore differently.  Every variable draws its priority, mentioned
+     or not, so the order among mentioned variables does not depend on
+     which they are. *)
   let rng = Ec_util.Rng.create options.seed in
   for v = 0 to n - 1 do
-    Ec_util.Idx_heap.set_priority s.heap v (Ec_util.Rng.float rng *. 1e-6);
-    Ec_util.Idx_heap.insert s.heap v
+    Ec_util.Idx_heap.set_priority s.heap v (Ec_util.Rng.float rng *. 1e-6)
   done;
   s
 
@@ -169,7 +176,10 @@ let var_bump s v =
 
 let var_decay_tick s = s.var_inc <- s.var_inc /. s.var_decay
 
-let watch s l c = Ec_util.Vec.push s.watches.(l) c
+let watch s l c =
+  if s.watches.(l) == s.no_watches then
+    s.watches.(l) <- Ec_util.Vec.create ~dummy:dummy_clause ();
+  Ec_util.Vec.push s.watches.(l) c
 
 let attach s c =
   watch s c.lits.(0) c;
@@ -189,6 +199,9 @@ let enqueue s l reason =
 let load_clause s dimacs_lits =
   assert (s.ndecisions = 0);
   let lits = Array.map lit_of_dimacs dimacs_lits in
+  for i = 0 to Array.length lits - 1 do
+    Ec_util.Idx_heap.insert s.heap (var_of lits.(i))
+  done;
   match Array.length lits with
   | 0 -> false
   | 1 -> (
@@ -467,6 +480,14 @@ let search s (options : options) ~check assumptions =
   let max_learnts = ref (max 4000 (List.length s.clauses / 2)) in
   let assumptions = Array.of_list (List.map lit_of_dimacs assumptions) in
   let result = ref None in
+  (* Every variable is assigned, or every one a clause mentions: the
+     point is a model of the clauses, but assumptions not yet
+     re-decided must be checked explicitly. *)
+  let model_found () =
+    match Array.to_seq assumptions |> Seq.find (fun a -> value_lit s a = 0) with
+    | Some a -> R_unsat (analyze_final s a)
+    | None -> R_sat
+  in
   (* A budget exhausted (or cancelled) before the solve starts stops it
      even on trivially decidable formulas. *)
   (match spent () with Some r -> result := Some (R_unknown r) | None -> ());
@@ -486,17 +507,7 @@ let search s (options : options) ~check assumptions =
           var_decay_tick s
       end
     | None ->
-      if s.trail_len = s.nvars then begin
-        (* Every variable is assigned; the point is a model of the
-           clauses, but assumptions not yet re-decided must be checked
-           explicitly. *)
-        let violated = Array.to_seq assumptions |> Seq.find (fun a -> value_lit s a = 0) in
-        result :=
-          Some
-            (match violated with
-            | Some a -> R_unsat (analyze_final s a)
-            | None -> R_sat)
-      end
+      if s.trail_len = s.nvars then result := Some (model_found ())
       else if float_of_int !conflicts_since_restart >= !restart_limit then begin
         (* Restart: back to level 0; assumptions are re-decided. *)
         s.stat_restarts <- s.stat_restarts + 1;
@@ -530,7 +541,7 @@ let search s (options : options) ~check assumptions =
             if value_var s v < 0 then v else pick ()
         in
         let v = pick () in
-        if v = -1 then result := Some R_sat
+        if v = -1 then result := Some (model_found ())
         else begin
           match spent () with
           | Some r -> result := Some (R_unknown r)

@@ -13,7 +13,14 @@
     Phase saving doubles as a cheap engineering-change device: seeding
     the saved phases with a previous solution biases the solver toward
     nearby models.  The [phase_hint] option exposes that, and the bench
-    harness ablates it against the paper's optimal preserving EC. *)
+    harness ablates it against the paper's optimal preserving EC.
+
+    Only variables that some loaded clause mentions are decided.  An
+    unmentioned variable takes its saved phase in the model: the
+    [phase_hint] value, or false.  Deciding it would give it the same
+    value, so models do not depend on this; what it saves is a
+    decision per unmentioned variable — a fast-EC cone posted over all
+    of a formula's variables, or a session's capacity headroom. *)
 
 type options = {
   var_decay : float;        (** VSIDS decay, e.g. 0.95 *)

@@ -13,7 +13,11 @@ let recover_dc ?(order = Fewest_occurrences_first) f a =
     | Ascending_vars -> vars
     | Fewest_occurrences_first ->
       let occ = Array.make (n + 1) 0 in
-      List.iter (fun v -> occ.(v) <- List.length (Ec_cnf.Formula.var_occurrences f v)) vars;
+      List.iter
+        (fun v ->
+          occ.(v) <-
+            Ec_cnf.Formula.count_occurrences f v + Ec_cnf.Formula.count_occurrences f (-v))
+        vars;
       List.stable_sort (fun v w -> Int.compare occ.(v) occ.(w)) vars
   in
   let released = Array.make (n + 1) false in
@@ -21,9 +25,10 @@ let recover_dc ?(order = Fewest_occurrences_first) f a =
     (* Clauses whose satisfaction depends on v's value in [a]: each
        variable is assigned there and visited once. *)
     let l = if Ec_cnf.Assignment.value a v = Ec_cnf.Assignment.True then v else -v in
-    let supported = Ec_cnf.Formula.occurrences f l in
-    if List.for_all (fun i -> sat_count.(i) >= 2) supported then begin
-      List.iter (fun i -> sat_count.(i) <- sat_count.(i) - 1) supported;
+    let releasable = ref true in
+    Ec_cnf.Formula.iter_occurrences (fun i -> if sat_count.(i) < 2 then releasable := false) f l;
+    if !releasable then begin
+      Ec_cnf.Formula.iter_occurrences (fun i -> sat_count.(i) <- sat_count.(i) - 1) f l;
       released.(v) <- true
     end
   in

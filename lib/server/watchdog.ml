@@ -14,6 +14,8 @@ type t = {
   mutable entries : entry list;
   mutable stop : bool;
   tick_s : float;
+  wake_r : Unix.file_descr;      (* a byte here ends the loop's wait *)
+  wake_w : Unix.file_descr;
   mutable domain : unit Domain.t option;
 }
 
@@ -46,8 +48,11 @@ let sweep t now =
   t.entries <- List.filter (fun e -> e.active) live;
   Mutex.unlock t.lock
 
+(* Waits one tick, or until [shutdown] writes to the wake pipe. *)
 let rec loop t =
-  Unix.sleepf t.tick_s;
+  (match Unix.select [ t.wake_r ] [] [] t.tick_s with
+  | _ -> ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
   let stop =
     Mutex.lock t.lock;
     let s = t.stop in
@@ -60,8 +65,10 @@ let rec loop t =
   end
 
 let create ?(tick_s = 0.01) () =
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
   let t =
-    { lock = Mutex.create (); entries = []; stop = false; tick_s; domain = None }
+    { lock = Mutex.create (); entries = []; stop = false; tick_s; wake_r; wake_w;
+      domain = None }
   in
   t.domain <- Some (Domain.spawn (fun () -> loop t));
   t
@@ -97,4 +104,10 @@ let shutdown t =
   let d = t.domain in
   t.domain <- None;
   Mutex.unlock t.lock;
-  Option.iter Domain.join d
+  match d with
+  | None -> ()
+  | Some d ->
+    ignore (Unix.write_substring t.wake_w "x" 0 1);
+    Domain.join d;
+    Unix.close t.wake_r;
+    Unix.close t.wake_w

@@ -39,4 +39,5 @@ val cancel_all : t -> unit
     everything" sweep. *)
 
 val shutdown : t -> unit
-(** Stop and join the watchdog domain.  Idempotent. *)
+(** Stop and join the watchdog domain, waking it from its tick wait,
+    so it returns without waiting out the tick.  Idempotent. *)

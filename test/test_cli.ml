@@ -39,6 +39,14 @@ let test_tables_jobs_zero () =
   Alcotest.(check int) "tables --jobs 0 exits 2" 2 code;
   Alcotest.(check bool) "diagnostic names --jobs" true (contains err "--jobs")
 
+(* A rejected --scale leaves no output file behind. *)
+let test_gen_scale_writes_nothing () =
+  let out = Filename.temp_file "ecsat_cli" ".cnf" in
+  Sys.remove out;
+  let code, _ = run_ecsat (Printf.sprintf "gen par8-1-c --scale=-1 -o %s" out) in
+  Alcotest.(check int) "exits 2" 2 code;
+  Alcotest.(check bool) "no file written" false (Sys.file_exists out)
+
 (* The change flags of [fast]/[preserve] and the [tables] flags follow
    the same convention: a bad value exits 2 with one stderr line naming
    the flag, before the initial solve or any instance generation — not
@@ -149,7 +157,12 @@ let tests =
         Alcotest.test_case "tables --trials below 1" `Quick
           (reject_all "--trials" [ "tables --table 2 --scale 0.05 --trials 0" ]);
         Alcotest.test_case "tables --scale not positive" `Quick
-          (reject_all "--scale" [ "tables --table 2 --scale=-1"; "tables --table 2 --scale 0" ])
+          (reject_all "--scale" [ "tables --table 2 --scale=-1"; "tables --table 2 --scale 0" ]);
+        Alcotest.test_case "gen --scale not positive" `Quick
+          (reject_all "--scale"
+             [ "gen g250.15 --scale=-1"; "gen par8-1-c --scale=-1"; "gen par8-1-c --scale=0";
+               "gen par8-1-c --scale=nan" ]);
+        Alcotest.test_case "gen --scale rejected before writing" `Quick test_gen_scale_writes_nothing
       ] );
     ( "cli.observability",
       [ Alcotest.test_case "solve --trace unwritable" `Quick

@@ -53,9 +53,10 @@ let test_clause_queries () =
 
 let test_clause_remove_var () =
   let c = C.make [ 1; -3; 5 ] in
-  check (Alcotest.array Alcotest.int) "removed" [| 1; 5 |] (C.lits (C.remove_var 3 c));
-  check Alcotest.bool "absent var: same clause" true (C.remove_var 9 c == c);
-  let c2 = C.remove_var 1 (C.remove_var 5 (C.remove_var 3 c)) in
+  let remove_var v = C.filter (fun l -> L.var l <> v) in
+  check (Alcotest.array Alcotest.int) "removed" [| 1; 5 |] (C.lits (remove_var 3 c));
+  check Alcotest.bool "absent var: same clause" true (remove_var 9 c == c);
+  let c2 = remove_var 1 (remove_var 5 (remove_var 3 c)) in
   check Alcotest.bool "empties out" true (C.is_empty c2)
 
 let test_clause_strings () =
@@ -371,6 +372,116 @@ let prop_preserving_script_checked =
       | Ec_sat.Outcome.Unsat -> QCheck.assume_fail ()
       | Ec_sat.Outcome.Unknown _ -> false)
 
+(* ---- Derived formulas and batched scripts ---- *)
+
+(* A formula, a script mixing the four change kinds in random order
+   (eliminations repeat and are re-added by later clauses, clauses may
+   name new variables, a few changes are out of range), and whether
+   the formula builds its own index before the script runs. *)
+let script_case_gen =
+  QCheck.Gen.(
+    let* f = formula_gen in
+    let* prime = bool in
+    let* k = int_range 0 14 in
+    let clause nvars =
+      let* w = int_range 1 3 in
+      let* vars = shuffle_l (List.init (nvars + 2) (fun i -> i + 1)) in
+      let* signs = list_repeat w bool in
+      return
+        (C.make
+           (List.map2 (fun v s -> if s then v else -v) (List.filteri (fun i _ -> i < w) vars) signs))
+    in
+    let rec steps nvars nclauses k acc =
+      if k = 0 then return (f, prime, List.rev acc)
+      else
+        let* kind = int_range 0 39 in
+        if kind < 12 then
+          let* v = int_range 1 nvars in
+          steps nvars nclauses (k - 1) (Ec_cnf.Change.Eliminate_var v :: acc)
+        else if kind < 26 then
+          let* c = clause nvars in
+          steps (max nvars (C.max_var c)) (nclauses + 1) (k - 1) (Ec_cnf.Change.Add_clause c :: acc)
+        else if kind < 33 && nclauses > 0 then
+          let* i = int_range 0 (nclauses - 1) in
+          steps nvars (nclauses - 1) (k - 1) (Ec_cnf.Change.Remove_clause i :: acc)
+        else if kind < 39 then steps (nvars + 1) nclauses (k - 1) (Ec_cnf.Change.Add_var :: acc)
+        else
+          let* elim = bool in
+          let ch =
+            if elim then Ec_cnf.Change.Eliminate_var (nvars + 1)
+            else Ec_cnf.Change.Remove_clause nclauses
+          in
+          steps nvars nclauses (k - 1) (ch :: acc)
+    in
+    steps (F.num_vars f) (F.num_clauses f) k [])
+
+let print_script_case (f, prime, script) =
+  Printf.sprintf "%s prime=%b [%s]" (F.to_string f) prime
+    (String.concat "; " (List.map Ec_cnf.Change.to_string script))
+
+(* The script applied to plain clause lists, change by change. *)
+let apply_to_lists (n, cls) = function
+  | Ec_cnf.Change.Add_clause c -> (max n (C.max_var c), cls @ [ Array.to_list (C.lits c) ])
+  | Ec_cnf.Change.Remove_clause i ->
+    if i < 0 || i >= List.length cls then invalid_arg "Formula.remove_clause: index";
+    (n, List.filteri (fun j _ -> j <> i) cls)
+  | Ec_cnf.Change.Add_var -> (n + 1, cls)
+  | Ec_cnf.Change.Eliminate_var v ->
+    if v < 1 || v > n then invalid_arg "Formula.eliminate_var: variable";
+    (n, List.map (List.filter (fun l -> L.var l <> v)) cls)
+
+let as_lists g = (F.num_vars g, List.map (fun c -> Array.to_list (C.lits c)) (Array.to_list (F.clauses g)))
+
+(* Every occurrence query on [g] answers as on a fresh formula over the
+   same clauses, both before and after enough queries to make [g]
+   switch from its root's index to its own. *)
+let index_agrees g =
+  let fresh = F.create ~num_vars:(F.num_vars g) (Array.to_list (F.clauses g)) in
+  let vars = List.init (F.num_vars g) (fun i -> i + 1) in
+  let iterated f l =
+    let acc = ref [] in
+    F.iter_occurrences (fun i -> acc := i :: !acc) f l;
+    List.rev !acc
+  in
+  let same () =
+    List.for_all
+      (fun v ->
+        F.var_occurrences g v = F.var_occurrences fresh v
+        && List.for_all
+             (fun l ->
+               let occ = F.occurrences fresh l in
+               F.occurrences g l = occ && iterated g l = occ
+               && F.count_occurrences g l = List.length occ)
+             [ v; -v ])
+      vars
+  in
+  let before = same () in
+  for _ = 0 to F.num_clauses g + F.num_vars g do
+    ignore (F.count_occurrences g 1)
+  done;
+  before && same ()
+
+let prop_script_batched_and_shared =
+  QCheck.Test.make ~name:"batched scripts and shared indexes match fresh formulas" ~count:300
+    (QCheck.make ~print:print_script_case script_case_gen)
+    (fun (f, prime, script) ->
+      if prime then ignore (F.occurrences f 1);
+      let outcome run = match run () with r -> Ok r | exception Invalid_argument m -> Error m in
+      let batched = outcome (fun () -> Ec_cnf.Change.apply_script f script) in
+      let expected = outcome (fun () -> List.fold_left apply_to_lists (as_lists f) script) in
+      Result.map as_lists batched = expected
+      &&
+      match batched with
+      | Error _ -> true
+      | Ok g ->
+        index_agrees g
+        && fst
+             (List.fold_left
+                (fun (ok, h) ch ->
+                  let h = Ec_cnf.Change.apply h ch in
+                  (ok && index_agrees h, h))
+                (true, f) script))
+
 let tests =
   [ ( "cnf.lit",
       [ Alcotest.test_case "basics" `Quick test_lit_basics;
@@ -415,4 +526,5 @@ let tests =
         Alcotest.test_case "fast-EC script" `Quick test_fast_ec_script;
         Alcotest.test_case "preserving script (constructive)" `Quick
           test_preserving_script_constructive;
-        qtest prop_preserving_script_checked ] ) ]
+        qtest prop_preserving_script_checked;
+        qtest prop_script_batched_and_shared ] ) ]

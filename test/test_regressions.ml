@@ -20,7 +20,14 @@
    R5 — every branch-and-bound node rebuilt a per-row active array and
         rescanned each variable's occurrence list to pick its branch,
         and allocated a fresh propagation queue: 47 059 words per node
-        on the enabled jnh1 model at scale 0.3 (25 396 rows). *)
+        on the enabled jnh1 model at scale 0.3 (25 396 rows).
+   R6 — every fast-EC request paid for the whole formula several times
+        over: one clause-array copy per change, an occurrence index
+        rebuilt for the modified formula, a closure per clause in every
+        model check, and a CDCL solve of the cone that allocated and
+        decided all n variables: about 380 words per clause of the
+        modified f600 formula per request from a CDCL initial
+        solution. *)
 
 let check = Alcotest.check
 
@@ -183,6 +190,38 @@ let test_r5_bnb_node_words () =
   if per_node >= float_of_int (rows / 10) then
     Alcotest.failf "%.0f words per node on %d rows, want < %d" per_node rows (rows / 10)
 
+(* R6: fast-EC requests on f600 (Table 2's change: eliminate 3
+   variables, add 10 width-3 clauses) through the flow.  From a CDCL
+   initial solution the cone spans most of the formula (about 577 of
+   600 variables), so a request is O(formula) whatever it does; what is
+   pinned is the constant.  A request that pays for its change and its
+   cone once allocates about 67 words per clause of the modified
+   formula here, against about 380 before. *)
+let test_r6_fast_ec_words_per_clause () =
+  let f = (Ec_instances.Registry.(build (find "f600"))).Ec_instances.Registry.formula in
+  let initial =
+    match Ec_core.Flow.solve_initial f with
+    | Some i -> i
+    | None -> Alcotest.fail "f600 is satisfiable"
+  in
+  let rng = Ec_util.Rng.create 6 in
+  let scripts =
+    List.init 50 (fun _ ->
+        Ec_cnf.Change.fast_ec_script rng f ~eliminate:3 ~add:10 ~clause_width:3)
+  in
+  let clauses = ref 0 in
+  let before = words_now () in
+  List.iter
+    (fun script ->
+      let r = Ec_core.Flow.apply_change_response ~strategy:Ec_core.Flow.Fast initial script in
+      match r.Ec_core.Flow.result with
+      | Some u -> clauses := !clauses + F.num_clauses u.Ec_core.Flow.new_formula
+      | None -> Alcotest.fail "fast EC answers every request")
+    scripts;
+  let per_clause = (words_now () -. before) /. float_of_int !clauses in
+  if per_clause >= 100.0 then
+    Alcotest.failf "%.1f words per request per clause, want < 100" per_clause
+
 let tests =
   [ ( "regressions",
       [ Alcotest.test_case "R1 assumptions at full assignment" `Quick
@@ -195,4 +234,6 @@ let tests =
         Alcotest.test_case "R3 pipeline agreement" `Quick test_r3_pipeline_agrees;
         Alcotest.test_case "R4 models cost linear words" `Quick
           test_r4_models_cost_linear_words;
-        Alcotest.test_case "R5 B&B node words below rows/10" `Quick test_r5_bnb_node_words ] ) ]
+        Alcotest.test_case "R5 B&B node words below rows/10" `Quick test_r5_bnb_node_words;
+        Alcotest.test_case "R6 fast-EC words per clause" `Quick
+          test_r6_fast_ec_words_per_clause ] ) ]

@@ -162,6 +162,42 @@ let test_cdcl_phase_hint () =
       [ 1; 2; 3; 4; 5; 6 ]
   | _ -> Alcotest.fail "empty formula is sat"
 
+(* Only variables some clause mentions are decided; the others take
+   their saved phase: the hint's value, or false without one. *)
+let test_cdcl_decides_mentioned_only () =
+  let f = F.of_lists ~num_vars:50 [ [ 3; 17 ]; [ -17; 29 ]; [ -3; 41; -50 ]; [ 29; 50 ] ] in
+  let mentioned = [ 3; 17; 29; 41; 50 ] in
+  let hint = A.init 50 (fun v -> if v mod 3 = 0 then A.True else if v mod 3 = 1 then A.False else A.Dc) in
+  List.iter
+    (fun (label, phase_hint) ->
+      let r = Ec_sat.Cdcl.solve_response ~options:{ Ec_sat.Cdcl.default_options with phase_hint } f in
+      if r.stats.decisions > 5 then
+        Alcotest.failf "%s: %d decisions for 5 mentioned variables" label r.stats.decisions;
+      match r.outcome with
+      | O.Sat a ->
+        check Alcotest.bool (label ^ ": model") true (A.satisfies a f);
+        for v = 1 to 50 do
+          if not (List.mem v mentioned) then
+            let expected =
+              match phase_hint with Some h when A.value h v = A.True -> A.True | _ -> A.False
+            in
+            check Alcotest.string (Printf.sprintf "%s: v%d" label v)
+              (A.value_to_string expected) (A.value_to_string (A.value a v))
+        done
+      | O.Unsat | O.Unknown _ -> Alcotest.fail (label ^ ": satisfiable formula"))
+    [ ("hint", Some hint); ("no hint", None) ]
+
+(* A session allocates headroom beyond the formula's variables
+   ([capacity_for]); its first solve must not decide any of it. *)
+let test_cdcl_session_skips_headroom () =
+  let n = 20 in
+  let f = F.of_lists ~num_vars:n (List.init (n - 1) (fun i -> [ -(i + 1); i + 2 ])) in
+  let s = Ec_sat.Cdcl.Session.create f in
+  let r = Ec_sat.Cdcl.Session.solve_with_core s in
+  check Alcotest.bool "sat" true (O.is_sat r.outcome);
+  if r.counters.Ec_util.Budget.spent_nodes > n then
+    Alcotest.failf "%d decisions for %d variables" r.counters.Ec_util.Budget.spent_nodes n
+
 let test_cdcl_large_planted () =
   let rng = Ec_util.Rng.create 123 in
   let n = 400 in
@@ -287,6 +323,9 @@ let tests =
         Alcotest.test_case "conflict budget + php" `Slow test_cdcl_conflict_budget;
         Alcotest.test_case "phase hint" `Quick test_cdcl_phase_hint;
         Alcotest.test_case "large planted instance" `Quick test_cdcl_large_planted;
+        Alcotest.test_case "decides mentioned variables only" `Quick
+          test_cdcl_decides_mentioned_only;
+        Alcotest.test_case "session skips headroom" `Quick test_cdcl_session_skips_headroom;
         qtest prop_cdcl_matches_dpll;
         qtest prop_cdcl_assumptions_consistent ] );
     ( "sat.cardinality",

@@ -134,6 +134,16 @@ let test_watchdog_cancel_all () =
   check Alcotest.bool "b2 cancelled" true (Budget.cancelled b2);
   Watchdog.shutdown wd
 
+(* A shutdown wakes the loop instead of waiting out its tick: with a
+   2 s tick, a join that waited for the tick would take about 2 s. *)
+let test_watchdog_shutdown_wakes () =
+  let wd = Watchdog.create ~tick_s:2.0 () in
+  let t0 = Unix.gettimeofday () in
+  Watchdog.shutdown wd;
+  let took = Unix.gettimeofday () -. t0 in
+  if took >= 0.5 then Alcotest.failf "shutdown took %.2f s with a 2 s tick" took;
+  Watchdog.shutdown wd
+
 (* ---- session containment ---- *)
 
 let unlimited () = Budget.create ()
@@ -433,7 +443,8 @@ let tests =
     ( "server.watchdog",
       [ Alcotest.test_case "fires past deadline" `Quick test_watchdog_fires;
         Alcotest.test_case "disarm" `Quick test_watchdog_disarm;
-        Alcotest.test_case "cancel_all" `Quick test_watchdog_cancel_all ] );
+        Alcotest.test_case "cancel_all" `Quick test_watchdog_cancel_all;
+        Alcotest.test_case "shutdown wakes the loop" `Quick test_watchdog_shutdown_wakes ] );
     ( "server.session",
       [ Alcotest.test_case "one crash contained by retry" `Quick
           test_session_contains_one_crash;
