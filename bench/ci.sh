@@ -132,6 +132,28 @@ echo "$MAXSAT_CHAOS" | grep -q 'engine-failure(maxsat' \
   || { echo "maxsat chaos: missing structured engine-failure reason"; exit 1; }
 echo "maxsat chaos: corrupted core contained as a structured UNKNOWN"
 
+# Kept-all smoke: a change the initial solution already satisfies (the
+# instance's first clause added again) is answered by that solution
+# itself, before any encoding: exit 10, all of it preserved, and the
+# preserving.already_satisfied counter in the metrics snapshot.  The
+# chaos drill above still reaches its engine because its --add=-1
+# breaks the initial solution, whose v1 is DC.
+echo "== preserve kept-all smoke (ecsat preserve --engine maxsat --metrics) =="
+KEPT_CNF=$(mktemp /tmp/ecsat-ci-XXXXXX.cnf)
+KEPT_METRICS=$(mktemp /tmp/ecsat-ci-XXXXXX.json)
+trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF" "$KEPT_CNF" "$KEPT_METRICS"' EXIT
+dune exec bin/ecsat.exe -- gen jnh1 -o "$KEPT_CNF"
+FIRST_CLAUSE=$(grep -v '^[cp%]' "$KEPT_CNF" | head -1 | sed 's/ *0 *$//; s/^ *//; s/  */,/g')
+status=0
+KEPT_OUT=$(dune exec bin/ecsat.exe -- preserve --engine maxsat --verify \
+  --metrics "$KEPT_METRICS" "--add=$FIRST_CLAUSE" "$KEPT_CNF") || status=$?
+[ "$status" -eq 10 ] || { echo "kept-all smoke: expected exit 10, got $status"; exit 1; }
+echo "$KEPT_OUT" | grep -q '^c preserved 100.0%' \
+  || { echo "kept-all smoke: the initial solution was not kept whole"; exit 1; }
+grep -q '"preserving.already_satisfied":1' "$KEPT_METRICS" \
+  || { echo "kept-all smoke: no preserving.already_satisfied count"; exit 1; }
+echo "kept-all smoke: answered by the initial solution, counted once"
+
 # Benchmark correctness smoke: each ecbench workload (enable, fast,
 # preserve, serve) checks every answer it timed against an independent
 # reference and exits 0 only if all of them passed (1 = a check
@@ -161,7 +183,7 @@ done
 # touched.
 echo "== benchmark matrix (trend gate over bench/results.jsonl) =="
 STORE_BEFORE=$(mktemp /tmp/ecsat-ci-XXXXXX.jsonl)
-trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF" "$STORE_BEFORE"' EXIT
+trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF" "$KEPT_CNF" "$KEPT_METRICS" "$STORE_BEFORE"' EXIT
 cp bench/results.jsonl "$STORE_BEFORE"
 status=0
 SCALES_ERR=$(dune exec bench/main.exe -- --matrix-scales 0,-3 --store bench/results.jsonl \

@@ -396,7 +396,8 @@ let preserving_engine_of_name = function
     exit 2
 
 let preserve_cmd =
-  let run file backend engine_opts add eliminate use_sat engine_name timeout conflicts verify =
+  let run file backend engine_opts add eliminate use_sat engine_name timeout conflicts verify
+      trace metrics =
     let backend = apply_engine_opts backend engine_opts in
     let added = List.map parse_clause add in
     let engine =
@@ -406,6 +407,8 @@ let preserve_cmd =
         if use_sat then Ec_core.Preserving.Sat_cardinality Ec_sat.Cdcl.default_options
         else Ec_core.Preserving.default_engine
     in
+    install_interrupt_handlers ();
+    with_observability ~trace ~metrics @@ fun () ->
     print_engine_config backend;
     with_initial file backend eliminate (fun init ->
         let script = changes_of added eliminate in
@@ -439,7 +442,7 @@ let preserve_cmd =
   Cmd.v (Cmd.info "preserve" ~doc)
     Term.(const run $ cnf_file $ backend $ engine_opt_arg $ add_clauses_arg
           $ eliminate_arg $ use_sat $ engine_name $ timeout_arg $ conflicts_arg
-          $ verify_arg)
+          $ verify_arg $ trace_arg $ metrics_arg)
 
 (* ---- preprocess ---- *)
 

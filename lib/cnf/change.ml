@@ -20,27 +20,42 @@ let apply f = function
   | Add_var -> Formula.add_var f
   | Eliminate_var v -> Formula.eliminate_var f v
 
-(* Each run of eliminations is one [Formula.eliminate_vars] and each
-   run of additions one [Formula.add_clauses]: the same clauses in the
-   same order as the change-by-change fold, with one array copy per
-   run. *)
+(* The longest prefix of [script] that [pick] maps, mapped, and the
+   rest of the script. *)
+let rec take pick acc script =
+  match script with
+  | ch :: rest -> (
+    match pick ch with Some x -> take pick (x :: acc) rest | None -> (List.rev acc, script))
+  | [] -> (List.rev acc, script)
+
+(* Each run of eliminations is one [Formula.eliminate_vars], each run
+   of additions one [Formula.add_clauses] and each run of removals one
+   [Formula.remove_clauses]: the same clauses in the same order as the
+   change-by-change fold, with one array copy per run. *)
 let rec apply_script f = function
   | [] -> f
   | Eliminate_var _ :: _ as script ->
-    let rec run vs = function
-      | Eliminate_var v :: rest -> run (v :: vs) rest
-      | rest -> (List.rev vs, rest)
+    let vs, rest =
+      take
+        (function Eliminate_var v -> Some v | Add_clause _ | Remove_clause _ | Add_var -> None)
+        [] script
     in
-    let vs, rest = run [] script in
     apply_script (Formula.eliminate_vars f vs) rest
   | Add_clause _ :: _ as script ->
-    let rec run cs = function
-      | Add_clause c :: rest -> run (c :: cs) rest
-      | rest -> (List.rev cs, rest)
+    let cs, rest =
+      take
+        (function Add_clause c -> Some c | Remove_clause _ | Add_var | Eliminate_var _ -> None)
+        [] script
     in
-    let cs, rest = run [] script in
     apply_script (Formula.add_clauses f cs) rest
-  | ((Remove_clause _ | Add_var) as ch) :: rest -> apply_script (apply f ch) rest
+  | Remove_clause _ :: _ as script ->
+    let is, rest =
+      take
+        (function Remove_clause i -> Some i | Add_clause _ | Add_var | Eliminate_var _ -> None)
+        [] script
+    in
+    apply_script (Formula.remove_clauses f is) rest
+  | Add_var :: rest -> apply_script (Formula.add_var f) rest
 
 let random_polarity rng v = if Ec_util.Rng.bool rng then v else -v
 

@@ -25,9 +25,10 @@ val apply : Formula.t -> t -> Formula.t
 
 val apply_script : Formula.t -> t list -> Formula.t
 (** Left-to-right application; each change sees the formula produced
-    by the previous ones.  Each run of consecutive [Eliminate_var]s or
-    [Add_clause]s is applied in one pass; the result, and any exception,
-    is that of folding {!apply} over the script. *)
+    by the previous ones.  Each run of consecutive [Eliminate_var]s,
+    [Add_clause]s or [Remove_clause]s is applied in one pass; the
+    result, and any exception, is that of folding {!apply} over the
+    script. *)
 
 val random_clause :
   Ec_util.Rng.t -> num_vars:int -> width:int -> Clause.t

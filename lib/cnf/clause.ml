@@ -15,6 +15,14 @@ let make lits =
 
 let make_opt lits = match make lits with c -> Some c | exception Tautology -> None
 
+(* Are the variables from index [i] on strictly ascending, above [v]? *)
+let rec ascending lits i v =
+  i = Array.length lits || (Lit.var lits.(i) > v && ascending lits (i + 1) (Lit.var lits.(i)))
+
+let of_sorted lits =
+  if ascending lits 0 0 then lits
+  else invalid_arg "Clause.of_sorted: literals not sorted by variable"
+
 let lits c = c
 
 let size = Array.length
@@ -60,7 +68,8 @@ let filter keep c =
     out
   end
 
-let max_var c = Array.fold_left (fun m l -> max m (Lit.var l)) 0 c
+(* Sorted by variable: the last literal holds the largest one. *)
+let max_var c = if Array.length c = 0 then 0 else Lit.var c.(Array.length c - 1)
 
 let equal (a : t) b = a = b
 

@@ -18,6 +18,14 @@ val make : Lit.t list -> t
 val make_opt : Lit.t list -> t option
 (** [None] instead of raising on tautologies. *)
 
+val of_sorted : Lit.t array -> t
+(** The clause of an array already in normal form: variables strictly
+    ascending, hence no duplicate and no tautology.  O(size), no sort;
+    the clause is the array itself, so callers must not mutate it
+    afterwards.
+    @raise Invalid_argument if the variables are not strictly
+    ascending or a literal is 0. *)
+
 val lits : t -> Lit.t array
 (** The literals; callers must not mutate the result. *)
 
@@ -45,7 +53,8 @@ val filter : (Lit.t -> bool) -> t -> t
     may be empty. *)
 
 val max_var : t -> int
-(** 0 for the empty clause. *)
+(** The variable of the last literal, in O(1); 0 for the empty
+    clause. *)
 
 val equal : t -> t -> bool
 

@@ -13,28 +13,27 @@ type t = {
 
 (* A formula either indexes its own clauses, or shares the index of
    the formula it was derived from: clauses [0, shared) are [root]'s
-   with the [eliminated] variables (sorted) deleted, and the rest are
-   appended. *)
+   without the [removed] ones (sorted root indices) and with the
+   [eliminated] variables (sorted) deleted, and the rest are appended.
+   Every root clause is either removed or shared, so root clause [r]
+   is clause [r - k], [k] being the number of removed indices below
+   [r]. *)
 and origin =
   | Standalone
-  | Derived of { root : t; shared : int; eliminated : int array }
+  | Derived of { root : t; shared : int; removed : int array; eliminated : int array }
 
-let validate num_vars clauses =
+let of_array ~num_vars clauses =
   if num_vars < 0 then invalid_arg "Formula.create: negative num_vars";
-  List.iter
+  Array.iter
     (fun c ->
       if Clause.max_var c > num_vars then
         invalid_arg
           (Printf.sprintf "Formula.create: clause %s mentions variable above %d"
              (Clause.to_string c) num_vars))
-    clauses
-
-let standalone num_vars clauses =
+    clauses;
   { num_vars; clauses; origin = Standalone; index = None; scanned = 0 }
 
-let create ~num_vars clauses =
-  validate num_vars clauses;
-  standalone num_vars (Array.of_list clauses)
+let create ~num_vars clauses = of_array ~num_vars (Array.of_list clauses)
 
 let of_lists ~num_vars lit_lists =
   let clauses = List.filter_map Clause.make_opt lit_lists in
@@ -93,36 +92,45 @@ let rec mem_sorted a v lo hi =
 let is_eliminated eliminated v = mem_sorted eliminated v 0 (Array.length eliminated)
 
 (* Does a query on [t] go to its root's index plus a scan of the
-   clauses from [shared] on?  The scans are counted; once they would
-   cost more than one index build, [t] builds its own index instead,
-   which keeps queries amortized O(formula). *)
-let via_root t ~shared =
+   clauses from [shared] on?  The scans, and the walks over [removed],
+   are counted; once they would cost more than one index build, [t]
+   builds its own index instead, which keeps queries amortized
+   O(formula). *)
+let via_root t ~shared ~removed =
   match t.index with
   | Some _ -> false
   | None ->
-    let appended = Array.length t.clauses - shared in
-    t.scanned + appended <= Array.length t.clauses + t.num_vars
+    let scan = Array.length t.clauses - shared + Array.length removed in
+    t.scanned + scan <= Array.length t.clauses + t.num_vars
     && begin
-      t.scanned <- t.scanned + appended;
+      t.scanned <- t.scanned + scan;
       true
     end
 
-let iter_slot f ix t l =
+(* The clauses [ix] lists for [l] in [t], skipping the [removed] ones
+   and shifting later ones down; both runs ascend, so one pointer into
+   [removed] follows the slot. *)
+let iter_slot f ix t removed l =
   if Lit.var l <= t.num_vars then begin
     let k = slot l in
+    let gone = ref 0 in
     for j = ix.start.(k) to ix.start.(k + 1) - 1 do
-      f ix.clause_of.(j)
+      let r = ix.clause_of.(j) in
+      while !gone < Array.length removed && removed.(!gone) < r do
+        incr gone
+      done;
+      if !gone = Array.length removed || removed.(!gone) <> r then f (r - !gone)
     done
   end
 
 let iter_occurrences f t l =
   match t.origin with
-  | Derived { root; shared; eliminated } when via_root t ~shared ->
-    if not (is_eliminated eliminated (Lit.var l)) then iter_slot f (own_index root) root l;
+  | Derived { root; shared; removed; eliminated } when via_root t ~shared ~removed ->
+    if not (is_eliminated eliminated (Lit.var l)) then iter_slot f (own_index root) root removed l;
     for i = shared to Array.length t.clauses - 1 do
       if Clause.mem l t.clauses.(i) then f i
     done
-  | Derived _ | Standalone -> iter_slot f (own_index t) t l
+  | Derived _ | Standalone -> iter_slot f (own_index t) t [||] l
 
 let count_slot ix t l =
   if Lit.var l > t.num_vars then 0
@@ -132,10 +140,12 @@ let count_slot ix t l =
 
 let count_occurrences t l =
   match t.origin with
-  | Derived { root; shared; eliminated } when via_root t ~shared ->
-    let n =
-      ref (if is_eliminated eliminated (Lit.var l) then 0 else count_slot (own_index root) root l)
-    in
+  | Derived { root; shared; removed; eliminated } when via_root t ~shared ~removed ->
+    let n = ref 0 in
+    if not (is_eliminated eliminated (Lit.var l)) then begin
+      n := count_slot (own_index root) root l;
+      Array.iter (fun r -> if Clause.mem l root.clauses.(r) then decr n) removed
+    end;
     for i = shared to Array.length t.clauses - 1 do
       if Clause.mem l t.clauses.(i) then incr n
     done;
@@ -163,21 +173,61 @@ let derive t ~num_vars ~clauses ~eliminated =
             Array.of_list (List.sort_uniq Int.compare (Array.to_list d.eliminated @ eliminated))
         }
     | Some _, _ | None, Standalone ->
-      Derived { root = t; shared = Array.length t.clauses; eliminated = Array.of_list eliminated }
+      Derived
+        { root = t;
+          shared = Array.length t.clauses;
+          removed = [||];
+          eliminated = Array.of_list eliminated }
   in
   { num_vars; clauses; origin; index = None; scanned = 0 }
 
 let add_clauses t cs =
-  let num_vars = List.fold_left (fun m c -> max m (Clause.max_var c)) t.num_vars cs in
+  let num_vars = List.fold_left (fun m c -> Int.max m (Clause.max_var c)) t.num_vars cs in
   derive t ~num_vars ~clauses:(Array.append t.clauses (Array.of_list cs)) ~eliminated:[]
 
 let add_clause t c = add_clauses t [ c ]
 
-let remove_clause t i =
+(* The position of the [p]-th clause that survives the removal of the
+   ascending positions [gone]. *)
+let survivor gone p = Array.fold_left (fun p g -> if g <= p then p + 1 else p) p gone
+
+let merge_sorted a b = Array.of_list (List.merge Int.compare (Array.to_list a) b)
+
+(* Each index counts the clauses the earlier ones left, as in a fold of
+   [remove_clause]; [gone] holds their positions in [t], ascending. *)
+let remove_clauses t is =
   let n = Array.length t.clauses in
-  if i < 0 || i >= n then invalid_arg "Formula.remove_clause: index";
-  standalone t.num_vars
-    (Array.init (n - 1) (fun j -> if j < i then t.clauses.(j) else t.clauses.(j + 1)))
+  let gone =
+    List.fold_left
+      (fun gone i ->
+        if i < 0 || i >= n - Array.length gone then invalid_arg "Formula.remove_clause: index";
+        merge_sorted gone [ survivor gone i ])
+      [||] is
+  in
+  let j = ref 0 in
+  let clauses =
+    Array.init (n - Array.length gone) (fun p ->
+        while !j < Array.length gone && gone.(!j) <= p + !j do
+          incr j
+        done;
+        t.clauses.(p + !j))
+  in
+  let origin =
+    match (t.index, t.origin) with
+    | None, Derived d ->
+      (* Positions below [shared] are root clauses; later ones were
+         appended and just go. *)
+      let from_root = List.filter (fun p -> p < d.shared) (Array.to_list gone) in
+      Derived
+        { d with
+          shared = d.shared - List.length from_root;
+          removed = merge_sorted d.removed (List.map (survivor d.removed) from_root) }
+    | Some _, _ | None, Standalone ->
+      Derived { root = t; shared = n - Array.length gone; removed = gone; eliminated = [||] }
+  in
+  { num_vars = t.num_vars; clauses; origin; index = None; scanned = 0 }
+
+let remove_clause t i = remove_clauses t [ i ]
 
 let add_var t = derive t ~num_vars:(t.num_vars + 1) ~clauses:t.clauses ~eliminated:[]
 

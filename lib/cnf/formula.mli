@@ -11,19 +11,21 @@
 
     Occurrence queries read a compressed index: one start offset per
     literal into one flat array of clause indices, each literal's run
-    ascending.  A formula made by {!create}, {!of_lists} or
-    {!remove_clause} builds its own index at its first query.  A
-    formula made by {!add_clauses}, {!eliminate_vars} or {!add_var}
-    shares the index of the formula it came from (its root) instead: it
-    records the root, the length of the clause prefix it shares with
-    the root, and the variables it eliminated, and answers a query from
-    the root's index, minus the eliminated variables, plus a scan of
-    its own appended clauses.  Once those scans have visited more
-    clauses than one index build costs, it builds its own index, so
-    queries stay amortized O(formula); a formula with its own index is
-    the root of what is derived from it, and chains stay one level
-    deep.  A base formula's index is therefore built once however many
-    changes are applied to it.
+    ascending.  A formula made by {!create}, {!of_array} or
+    {!of_lists} builds its own index at its first query.  A formula
+    made by {!add_clauses}, {!remove_clauses}, {!eliminate_vars} or
+    {!add_var} shares the index of the formula it came from (its root)
+    instead: it records the root, the root clauses it removed (sorted),
+    the length of the clause prefix it shares with the root, and the
+    variables it eliminated.  It answers a query from the root's index,
+    minus the eliminated variables, skipping the removed clauses and
+    shifting later ones down, plus a scan of its own appended clauses.
+    Once those scans and skips have cost more than one index build, it
+    builds its own index, so queries stay amortized O(formula); a
+    formula with its own index is the root of what is derived from it,
+    and chains stay one level deep: a removal from a derived formula is
+    recorded against the same root.  A base formula's index is
+    therefore built once however many changes are applied to it.
 
     The index and the scan count are filled in lazily, so pool domains
     that share a formula may race on them.  The race is benign: each
@@ -35,6 +37,11 @@ type t
 val create : num_vars:int -> Clause.t list -> t
 (** @raise Invalid_argument if a clause mentions a variable above
     [num_vars] or if [num_vars < 0]. *)
+
+val of_array : num_vars:int -> Clause.t array -> t
+(** {!create} over an array, which the formula takes as its own: the
+    caller must not mutate it afterwards.
+    @raise Invalid_argument as {!create}. *)
 
 val of_lists : num_vars:int -> Lit.t list list -> t
 (** Convenience wrapper: build clauses with {!Clause.make}.
@@ -85,6 +92,14 @@ val remove_clause : t -> int -> t
 (** Drop the clause at an index (engineering change: constraint
     deleted).  Later clauses shift down by one.
     @raise Invalid_argument out of bounds. *)
+
+val remove_clauses : t -> int list -> t
+(** Drop the clauses at the indices in order, each index counting the
+    clauses the earlier ones left, with one copy of the clause array.
+    The result, and any exception, is that of folding
+    {!remove_clause} over the indices.
+    @raise Invalid_argument if some index is out of bounds when it is
+    reached. *)
 
 val add_var : t -> t
 (** Grow the variable count by one; the new variable is unconstrained

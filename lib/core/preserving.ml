@@ -30,12 +30,6 @@ let preserved_fraction r =
 let agreement_count reference a =
   Ec_cnf.Assignment.preserved_count ~old_assignment:reference a
 
-let check_pins n pins =
-  List.iter
-    (fun v ->
-      if v < 1 || v > n then invalid_arg "Preserving.resolve: pinned variable out of range")
-    pins
-
 let reference_value reference v =
   if v <= Ec_cnf.Assignment.num_vars reference then Ec_cnf.Assignment.value reference v
   else Ec_cnf.Assignment.Dc
@@ -79,15 +73,9 @@ let resolve_ilp options pins weights budget f ~reference =
   let enc = Encode.of_formula f in
   let model = Encode.model enc in
   let n = Encode.num_cnf_vars enc in
-  check_pins n pins;
   let compared = min n (Ec_cnf.Assignment.num_vars reference) in
   let weight_of = Hashtbl.create (List.length weights) in
-  List.iter
-    (fun (v, w) ->
-      if v < 1 || v > n then invalid_arg "Preserving.resolve: weighted variable out of range";
-      if w < 0.0 then invalid_arg "Preserving.resolve: negative weight";
-      Hashtbl.replace weight_of v w)
-    weights;
+  List.iter (fun (v, w) -> Hashtbl.replace weight_of v w) weights;
   let w v = try Hashtbl.find weight_of v with Not_found -> 1.0 in
   let terms, constant = objective_terms enc ~compared ~w reference in
   Ec_ilp.Model.set_objective model Ec_ilp.Model.Maximize
@@ -130,7 +118,6 @@ let resolve_ilp options pins weights budget f ~reference =
    same optimum, the long way. *)
 let resolve_ilp_iterative options pins budget f ~reference =
   let n = Ec_cnf.Formula.num_vars f in
-  check_pins n pins;
   let compared = min n (Ec_cnf.Assignment.num_vars reference) in
   let remaining = ref (Ec_util.Budget.combine budget options.Ec_ilpsolver.Bnb.budget) in
   let spent = ref Ec_util.Budget.zero in
@@ -226,41 +213,48 @@ type sat_encoding = {
   e_phase_hint : Ec_cnf.Assignment.t;
 }
 
+(* The covering clause of an original clause: a positive literal
+   selects phase [v], a negative one phase [n + v].  Every positive
+   phase lies below every negative one, so the positives (ascending)
+   then the negatives (ascending) are already in clause order. *)
+let phase_clause n c =
+  let lits = Ec_cnf.Clause.lits c in
+  let out = Array.make (Array.length lits) 0 in
+  let j = ref 0 in
+  for i = 0 to Array.length lits - 1 do
+    if Ec_cnf.Lit.is_positive lits.(i) then begin
+      out.(!j) <- Ec_cnf.Lit.var lits.(i);
+      incr j
+    end
+  done;
+  for i = 0 to Array.length lits - 1 do
+    if not (Ec_cnf.Lit.is_positive lits.(i)) then begin
+      out.(!j) <- n + Ec_cnf.Lit.var lits.(i);
+      incr j
+    end
+  done;
+  Ec_cnf.Clause.of_sorted out
+
 let sat_encoding ?(objective = `Indicators) pins ~compared f ~reference =
   let n = Ec_cnf.Formula.num_vars f in
   let pos v = v and neg v = n + v in
-  let base = ref [] in
-  Ec_cnf.Formula.iteri
-    (fun _ c ->
-      let lits =
-        Ec_cnf.Clause.fold
-          (fun acc l ->
-            let v = Ec_cnf.Lit.var l in
-            (if Ec_cnf.Lit.is_positive l then pos v else neg v) :: acc)
-          [] c
-      in
-      match lits with
-      | [] -> base := Ec_cnf.Clause.make [] :: !base
-      | _ -> base := Ec_cnf.Clause.make lits :: !base)
-    f;
-  for v = 1 to n do
-    base := Ec_cnf.Clause.make [ -pos v; -neg v ] :: !base
+  let clause = Ec_cnf.Clause.of_sorted in
+  let pinned = Array.make (n + 1) false in
+  List.iter (fun v -> pinned.(v) <- true) pins;
+  let unpinned = ref [] in
+  for v = compared downto 1 do
+    if not pinned.(v) then unpinned := v :: !unpinned
   done;
-  (* Pins as unit clauses over phases. *)
-  List.iter
-    (fun v ->
-      match reference_value reference v with
-      | Ec_cnf.Assignment.True -> base := Ec_cnf.Clause.make [ pos v ] :: !base
-      | Ec_cnf.Assignment.False -> base := Ec_cnf.Clause.make [ neg v ] :: !base
-      | Ec_cnf.Assignment.Dc ->
-        base := Ec_cnf.Clause.make [ -pos v ] :: Ec_cnf.Clause.make [ -neg v ] :: !base)
-    pins;
-  (* Disagreement indicators for unpinned compared variables. *)
-  let unpinned =
-    List.filter (fun v -> not (List.mem v pins)) (List.init compared (fun i -> i + 1))
-  in
+  let unpinned = !unpinned in
+  (* The hard clauses, prepended: they read pins (last first), the
+     exclusion clauses (v = n first), the covering clauses (last
+     first), then each unpinned variable's indicator clauses (last
+     variable first), so the indicators go in first. *)
+  let hard = ref [] in
+  let push c = hard := c :: !hard in
+  (* Disagreement indicators for unpinned compared variables; a
+     variable's clauses are pushed last one first. *)
   let d_base = 2 * n in
-  let d_clauses = ref [] in
   let d_lits = ref [] in
   let d_count = ref 0 in
   List.iter
@@ -271,21 +265,19 @@ let sat_encoding ?(objective = `Indicators) pins ~compared f ~reference =
         incr d_count;
         let d = d_base + !d_count in
         d_lits := d :: !d_lits;
-        d_clauses := Ec_cnf.Clause.make [ pos v; d ] :: !d_clauses
+        push (clause [| pos v; d |])
       | `Indicators, Ec_cnf.Assignment.False ->
         incr d_count;
         let d = d_base + !d_count in
         d_lits := d :: !d_lits;
-        d_clauses := Ec_cnf.Clause.make [ neg v; d ] :: !d_clauses
+        push (clause [| neg v; d |])
       | `Indicators, Ec_cnf.Assignment.Dc ->
         (* disagree if either phase is selected *)
         incr d_count;
         let d = d_base + !d_count in
         d_lits := d :: !d_lits;
-        d_clauses :=
-          Ec_cnf.Clause.make [ -pos v; d ]
-          :: Ec_cnf.Clause.make [ -neg v; d ]
-          :: !d_clauses
+        push (clause [| -neg v; d |]);
+        push (clause [| -pos v; d |])
       | `Keep, Ec_cnf.Assignment.True ->
         (* the phase literal already says it: disagree = ¬pos *)
         d_lits := -pos v :: !d_lits
@@ -296,12 +288,24 @@ let sat_encoding ?(objective = `Indicators) pins ~compared f ~reference =
         incr d_count;
         let d = d_base + !d_count in
         d_lits := d :: !d_lits;
-        d_clauses :=
-          Ec_cnf.Clause.make [ -pos v; d ]
-          :: Ec_cnf.Clause.make [ -neg v; d ]
-          :: Ec_cnf.Clause.make [ -d; pos v; neg v ]
-          :: !d_clauses)
+        push (clause [| pos v; neg v; -d |]);
+        push (clause [| -neg v; d |]);
+        push (clause [| -pos v; d |]))
     unpinned;
+  Array.iter (fun c -> push (phase_clause n c)) (Ec_cnf.Formula.clauses f);
+  for v = 1 to n do
+    push (clause [| -pos v; -neg v |])
+  done;
+  (* Pins as unit clauses over phases. *)
+  List.iter
+    (fun v ->
+      match reference_value reference v with
+      | Ec_cnf.Assignment.True -> push (clause [| pos v |])
+      | Ec_cnf.Assignment.False -> push (clause [| neg v |])
+      | Ec_cnf.Assignment.Dc ->
+        push (clause [| -neg v |]);
+        push (clause [| -pos v |]))
+    pins;
   let next_var = d_base + !d_count + 1 in
   let d_lits = List.rev !d_lits in
   let decode a =
@@ -327,7 +331,11 @@ let sat_encoding ?(objective = `Indicators) pins ~compared f ~reference =
           if reference_value reference v = phase then Ec_cnf.Assignment.True
           else Ec_cnf.Assignment.False)
   in
-  { e_hard = Ec_cnf.Formula.create ~num_vars:(next_var - 1) (!base @ !d_clauses);
+  (* Not [Array.of_list]: an array this long made from a young clause
+     makes the runtime run a minor collection first. *)
+  let clauses = Array.make (List.length !hard) (clause [||]) in
+  List.iteri (fun i c -> clauses.(i) <- c) !hard;
+  { e_hard = Ec_cnf.Formula.of_array ~num_vars:(next_var - 1) clauses;
     e_d_lits = d_lits;
     e_next_var = next_var;
     e_unpinned = unpinned;
@@ -348,7 +356,6 @@ let disagreements e ~reference a =
    the whole search. *)
 let resolve_sat options pins budget f ~reference =
   let n = Ec_cnf.Formula.num_vars f in
-  check_pins n pins;
   let compared = min n (Ec_cnf.Assignment.num_vars reference) in
   let e = sat_encoding pins ~compared f ~reference in
   let options = { options with Ec_sat.Cdcl.phase_hint = Some e.e_phase_hint } in
@@ -414,7 +421,6 @@ let resolve_sat options pins budget f ~reference =
    independently ({!Certify.check_maxsat}) before anyone acts on it. *)
 let resolve_maxsat (mopts : Ec_sat.Maxsat.options) pins budget f ~reference =
   let n = Ec_cnf.Formula.num_vars f in
-  check_pins n pins;
   let compared = min n (Ec_cnf.Assignment.num_vars reference) in
   let e = sat_encoding ~objective:`Keep pins ~compared f ~reference in
   let soft = List.map Ec_cnf.Lit.negate e.e_d_lits in
@@ -484,20 +490,67 @@ let resolve_maxsat (mopts : Ec_sat.Maxsat.options) pins budget f ~reference =
           counters = r.Ec_sat.Maxsat.counters;
           work }))
 
+(* Every engine's argument checks, run once before any answer. *)
+let validate engine pins weights n =
+  (match engine with
+  | Ilp_objective _ -> ()
+  | Ilp_iterative _ | Sat_cardinality _ | Sat_maxsat _ ->
+    if weights <> [] then
+      invalid_arg "Preserving.resolve: weights require the Ilp_objective engine");
+  List.iter
+    (fun v ->
+      if v < 1 || v > n then invalid_arg "Preserving.resolve: pinned variable out of range")
+    pins;
+  List.iter
+    (fun (v, w) ->
+      if v < 1 || v > n then invalid_arg "Preserving.resolve: weighted variable out of range";
+      if w < 0.0 then invalid_arg "Preserving.resolve: negative weight")
+    weights
+
+(* Requests answered by the old solution itself, the twin of
+   [fast_ec.already_satisfied]. *)
+let already_satisfied_count = Ec_util.Metrics.counter "preserving.already_satisfied"
+
+(* The reference over [f]'s variables, if it satisfies [f] (a DC
+   literal is not true).  Every compared variable then keeps its value
+   at cost 0, so it is every engine's optimum: agreement cannot exceed
+   [total], and pins hold their reference values. *)
+let kept_all f reference =
+  let n = Ec_cnf.Formula.num_vars f in
+  let a =
+    if Ec_cnf.Assignment.num_vars reference = n then reference
+    else Ec_cnf.Assignment.init n (reference_value reference)
+  in
+  if Ec_cnf.Assignment.satisfies a f then Some a else None
+
 let resolve ?(engine = default_engine) ?(pins = []) ?(weights = [])
     ?(budget = Ec_util.Budget.unlimited) f ~reference =
-  let require_unweighted () =
-    if weights <> [] then
-      invalid_arg "Preserving.resolve: weights require the Ilp_objective engine"
-  in
-  match engine with
-  | Ilp_objective options -> resolve_ilp options pins weights budget f ~reference
-  | Ilp_iterative options ->
-    require_unweighted ();
-    resolve_ilp_iterative options pins budget f ~reference
-  | Sat_cardinality options ->
-    require_unweighted ();
-    resolve_sat options pins budget f ~reference
-  | Sat_maxsat options ->
-    require_unweighted ();
-    resolve_maxsat options pins budget f ~reference
+  let n = Ec_cnf.Formula.num_vars f in
+  validate engine pins weights n;
+  snd
+  @@ Ec_util.Trace.span ~cat:"preserving"
+       ~result_args:(fun (kept, _) -> [ ("kept_all", string_of_bool kept) ])
+       "preserving.resolve"
+  @@ fun () ->
+  match kept_all f reference with
+  | Some a ->
+    (* Proved without a solve, so no budget is consulted: an exhausted
+       one still gets this answer, as fast EC's already-satisfied
+       requests do. *)
+    Ec_util.Metrics.incr already_satisfied_count;
+    let total = min n (Ec_cnf.Assignment.num_vars reference) in
+    ( true,
+      { solution = Some a;
+        preserved = total;
+        total;
+        optimal = true;
+        reason = Ec_util.Budget.Completed;
+        counters = Ec_util.Budget.zero;
+        work = no_work } )
+  | None ->
+    ( false,
+      match engine with
+      | Ilp_objective options -> resolve_ilp options pins weights budget f ~reference
+      | Ilp_iterative options -> resolve_ilp_iterative options pins budget f ~reference
+      | Sat_cardinality options -> resolve_sat options pins budget f ~reference
+      | Sat_maxsat options -> resolve_maxsat options pins budget f ~reference )

@@ -93,9 +93,18 @@ val resolve :
     optimization; the cardinality engine's binary-search probes share
     the one allowance, and a cutoff returns the best incumbent found
     with [optimal = false].
+
+    The arguments are checked first, for every engine.  Then, if
+    [reference] over [f]'s variables (DC beyond its own, and a DC
+    literal counting as not true) satisfies every clause of [f], it is
+    the answer, before anything is encoded: [preserved = total],
+    [optimal], [Completed], zero counters and no work.  Every compared
+    variable keeps its value, so it is every engine's optimum.  No
+    budget is consulted, so an exhausted one gets the same answer, as
+    fast EC's already-satisfied requests do.
     @raise Invalid_argument if a pinned or weighted variable is out of
-    range, a weight is negative, or weights are passed to the
-    cardinality engine. *)
+    range, a weight is negative, or weights are passed to an engine
+    other than [Ilp_objective]. *)
 
 val preserved_fraction : result -> float
 (** [preserved / total]; 1.0 when nothing is compared. *)

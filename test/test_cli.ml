@@ -87,6 +87,21 @@ let read_file p =
   close_in ic;
   s
 
+(* A change the initial solution satisfies is answered by that
+   solution, before any encoding, and counted once. *)
+let test_preserve_kept_all_metrics () =
+  with_tiny_cnf (fun cnf ->
+      let m = Filename.temp_file "ecsat_cli" ".metrics.json" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove m)
+        (fun () ->
+          let code, _ =
+            run_ecsat (Printf.sprintf "preserve --engine maxsat --add=1 --metrics %s %s" m cnf)
+          in
+          Alcotest.(check int) "kept-all preserve answers SAT" 10 code;
+          Alcotest.(check bool) "the kept-all answer was counted" true
+            (contains (read_file m) "\"preserving.already_satisfied\":1")))
+
 let test_trace_metrics_happy_path () =
   with_tiny_cnf (fun cnf ->
       let tr = Filename.temp_file "ecsat_cli" ".trace.json" in
@@ -213,7 +228,10 @@ let tests =
             Alcotest.(check bool) "diagnostic names --trace" true
               (contains err "--trace"));
         Alcotest.test_case "solve --trace/--metrics artifacts" `Quick
-          test_trace_metrics_happy_path ] );
+          test_trace_metrics_happy_path;
+        Alcotest.test_case "preserve --metrics unwritable" `Quick
+          (reject_sink "preserve" "--metrics");
+        Alcotest.test_case "preserve kept-all --metrics" `Quick test_preserve_kept_all_metrics ] );
     ( "cli.enable",
       [ Alcotest.test_case "unit clause: no enabled solution" `Quick
           (enable_answers "p cnf 1 1\n1 0\n" ~code:0 ~line:"s UNKNOWN");

@@ -59,6 +59,17 @@ let test_clause_remove_var () =
   let c2 = remove_var 1 (remove_var 5 (remove_var 3 c)) in
   check Alcotest.bool "empties out" true (C.is_empty c2)
 
+let test_clause_of_sorted () =
+  let c = C.of_sorted [| 1; -3; 7 |] in
+  check Alcotest.bool "same clause as make" true (C.equal c (C.make [ 7; 1; -3 ]));
+  check Alcotest.int "max_var of a negative last literal" 9 (C.max_var (C.of_sorted [| 2; -9 |]));
+  List.iter
+    (fun lits ->
+      Alcotest.check_raises "not in normal form"
+        (Invalid_argument "Clause.of_sorted: literals not sorted by variable") (fun () ->
+          ignore (C.of_sorted lits)))
+    [ [| 3; 1 |]; [| 1; -1 |]; [| 2; 2 |]; [| 0 |] ]
+
 let test_clause_strings () =
   check Alcotest.string "paper notation" "(v1 + ~v3)" (C.to_string (C.make [ -3; 1 ]));
   check Alcotest.string "dimacs" "1 -3 0" (C.to_dimacs (C.make [ -3; 1 ]))
@@ -376,8 +387,10 @@ let prop_preserving_script_checked =
 
 (* A formula, a script mixing the four change kinds in random order
    (eliminations repeat and are re-added by later clauses, clauses may
-   name new variables, a few changes are out of range), and whether
-   the formula builds its own index before the script runs. *)
+   name new variables, removals come alone or in runs of 2-6 that may
+   take appended clauses, a few changes are out of range, also inside
+   a run), and whether the formula builds its own index before the
+   script runs. *)
 let script_case_gen =
   QCheck.Gen.(
     let* f = formula_gen in
@@ -394,8 +407,18 @@ let script_case_gen =
     let rec steps nvars nclauses k acc =
       if k = 0 then return (f, prime, List.rev acc)
       else
-        let* kind = int_range 0 39 in
-        if kind < 12 then
+        let* kind = int_range 0 47 in
+        if kind >= 40 then
+          let* run = int_range 2 6 in
+          let rec removals nclauses r acc =
+            if r = 0 then steps nvars nclauses (k - 1) acc
+            else
+              let* i = int_range 0 nclauses in
+              (* [i = nclauses] is one past the end *)
+              removals (max 0 (nclauses - 1)) (r - 1) (Ec_cnf.Change.Remove_clause i :: acc)
+          in
+          removals nclauses run acc
+        else if kind < 12 then
           let* v = int_range 1 nvars in
           steps nvars nclauses (k - 1) (Ec_cnf.Change.Eliminate_var v :: acc)
         else if kind < 26 then
@@ -461,6 +484,47 @@ let index_agrees g =
   done;
   before && same ()
 
+(* Runs of removals against the change-by-change fold, on a base with
+   its own index: removals of base and appended clauses around
+   eliminations, so removals land on derived formulas and map back to
+   the one root, and an out-of-range index inside a run. *)
+let test_remove_clauses_runs () =
+  let f =
+    F.of_lists ~num_vars:5 [ [ 1; 2 ]; [ -1; 3 ]; [ 2; -4 ]; [ 3; 4; 5 ]; [ -2; -5 ]; [ 1; -3; 4 ] ]
+  in
+  ignore (F.occurrences f 1);
+  let module Ch = Ec_cnf.Change in
+  let scripts =
+    [ [ Ch.Remove_clause 1; Ch.Remove_clause 0; Ch.Remove_clause 3 ];
+      [ Ch.Add_clause (C.make [ -1; 5 ]); Ch.Add_clause (C.make [ 2; 4 ]); Ch.Remove_clause 6;
+        Ch.Remove_clause 2 ];
+      [ Ch.Remove_clause 5; Ch.Eliminate_var 3; Ch.Remove_clause 0; Ch.Remove_clause 2;
+        Ch.Eliminate_var 4; Ch.Remove_clause 1 ];
+      [ Ch.Eliminate_var 2; Ch.Add_clause (C.make [ 3; -5 ]); Ch.Remove_clause 6;
+        Ch.Remove_clause 0; Ch.Add_var; Ch.Remove_clause 3; Ch.Add_clause (C.make [ 6 ]);
+        Ch.Remove_clause 3 ] ]
+  in
+  List.iter
+    (fun script ->
+      let batched = Ch.apply_script f script in
+      let folded = List.fold_left Ch.apply f script in
+      check formula_testable "batched = fold" folded batched;
+      check Alcotest.bool "batched index agrees" true (index_agrees batched);
+      ignore
+        (List.fold_left
+           (fun h ch ->
+             let h = Ch.apply h ch in
+             check Alcotest.bool "step index agrees" true (index_agrees h);
+             h)
+           f script))
+    scripts;
+  Alcotest.check_raises "out of range inside a run"
+    (Invalid_argument "Formula.remove_clause: index") (fun () ->
+      ignore (Ch.apply_script f [ Ch.Remove_clause 0; Ch.Remove_clause 5; Ch.Remove_clause 0 ]));
+  Alcotest.check_raises "negative inside a run"
+    (Invalid_argument "Formula.remove_clause: index") (fun () ->
+      ignore (F.remove_clauses f [ 2; -1 ]))
+
 let prop_script_batched_and_shared =
   QCheck.Test.make ~name:"batched scripts and shared indexes match fresh formulas" ~count:300
     (QCheck.make ~print:print_script_case script_case_gen)
@@ -490,6 +554,7 @@ let tests =
       [ Alcotest.test_case "normalization" `Quick test_clause_normalization;
         Alcotest.test_case "queries" `Quick test_clause_queries;
         Alcotest.test_case "remove_var" `Quick test_clause_remove_var;
+        Alcotest.test_case "of_sorted" `Quick test_clause_of_sorted;
         Alcotest.test_case "strings" `Quick test_clause_strings ] );
     ( "cnf.formula",
       [ Alcotest.test_case "create" `Quick test_formula_create;
@@ -527,4 +592,5 @@ let tests =
         Alcotest.test_case "preserving script (constructive)" `Quick
           test_preserving_script_constructive;
         qtest prop_preserving_script_checked;
+        Alcotest.test_case "remove_clauses runs" `Quick test_remove_clauses_runs;
         qtest prop_script_batched_and_shared ] ) ]

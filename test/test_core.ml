@@ -244,10 +244,14 @@ let test_fast_ec_refresh () =
 
 (* ---- Preserving ---- *)
 
-(* brute-force optimum of preserved count among DC-aware models *)
-let brute_best_preserved f reference =
+(* brute-force optimum of preserved count among DC-aware models that
+   keep the pinned variables' reference values; -1 if there is none *)
+let brute_best_preserved ?(pins = []) f reference =
   let models =
-    List.filter (fun a -> A.satisfies a f) (enum_assignments (F.num_vars f))
+    List.filter
+      (fun a ->
+        A.satisfies a f && List.for_all (fun v -> A.value a v = A.value reference v) pins)
+      (enum_assignments (F.num_vars f))
   in
   List.fold_left
     (fun best a -> max best (A.preserved_count ~old_assignment:reference a))
@@ -277,6 +281,85 @@ let prop_preserving_engines_optimal =
                | None -> false))
           all_preserving_engines)
 
+(* Table 3 in miniature: a random formula, a DC-bearing model of it as
+   the reference, a Table-3-shaped script whose tightening draws are
+   kept only if the changed formula stays satisfiable, so the
+   reference may or may not survive, and a few pinned variables.
+   Every engine reaches the brute-force optimum over {T, F, DC}^n with
+   a model of f', or proves the pins infeasible.  When the reference
+   still satisfies f', the answer is the reference itself, proved
+   without a solve (fast EC's already-satisfied contract): no
+   counters, no work, and the same under a budget that is already
+   spent. *)
+let prop_preserving_after_change =
+  QCheck.Test.make ~name:"preserving after a Table 3 change: engines vs brute force" ~count:40
+    (QCheck.make
+       ~print:(fun (f, seed) -> Printf.sprintf "%s seed=%d" (F.to_string f) seed)
+       QCheck.Gen.(pair (formula_gen ~max_vars:6 ~max_clauses:10) (int_bound 1_000_000)))
+    (fun (f, seed) ->
+      let satisfiable g =
+        match (Ec_sat.Cdcl.solve_response g).outcome with
+        | O.Sat _ -> true
+        | O.Unsat | O.Unknown _ -> false
+      in
+      match (Ec_sat.Cdcl.solve_response f).outcome with
+      | O.Unsat | O.Unknown _ -> QCheck.assume_fail ()
+      | O.Sat model ->
+        let reference = Ec_sat.Minimize.recover_dc f model in
+        let rng = Ec_util.Rng.create seed in
+        let script =
+          Ec_cnf.Change.preserving_ec_script ~satisfiable rng f ~reference
+            ~add_vars:(Ec_util.Rng.int rng 3) ~del_vars:(Ec_util.Rng.int rng 3)
+            ~add_clauses:(Ec_util.Rng.int rng 4) ~del_clauses:(Ec_util.Rng.int rng 3)
+            ~clause_width:3
+        in
+        let f' = Ec_cnf.Change.apply_script f script in
+        let reference = A.extend reference (F.num_vars f') in
+        let pins =
+          List.filter
+            (fun _ -> Ec_util.Rng.int rng 4 = 0)
+            (List.init (F.num_vars f') (fun v -> v + 1))
+        in
+        let best = brute_best_preserved ~pins f' reference in
+        let module P = Ec_core.Preserving in
+        let is_reference (r : P.result) =
+          (match r.solution with Some a -> A.equal a reference | None -> false)
+          && r.optimal && r.reason = Ec_util.Budget.Completed
+          && r.counters = Ec_util.Budget.zero
+          && r.work = { P.probes = 0; clauses_encoded = 0; cores = 0 }
+        in
+        List.for_all
+          (fun engine ->
+            let r = P.resolve ~engine ~pins f' ~reference in
+            r.optimal
+            && (match r.solution with
+               | Some a -> r.preserved = best && A.satisfies a f'
+               | None -> best < 0)
+            && ((not (A.satisfies reference f'))
+               || is_reference r
+                  && is_reference
+                       (P.resolve ~engine ~pins ~budget:(Ec_util.Budget.of_time 0.0) f'
+                          ~reference)))
+          all_preserving_engines)
+
+(* The kept-all answer is the reference over the formula's variables:
+   cut to them, or DC beyond the reference. *)
+let test_preserving_kept_all_ranges () =
+  let reference = A.of_list 3 [ (1, true); (2, false) ] in
+  List.iter
+    (fun (f, expected) ->
+      List.iter
+        (fun engine ->
+          let r = Ec_core.Preserving.resolve ~engine f ~reference in
+          check Alcotest.bool "answer" true
+            (match r.Ec_core.Preserving.solution with Some a -> A.equal a expected | None -> false);
+          check Alcotest.int "preserved = total"
+            (min 3 (F.num_vars f)) r.Ec_core.Preserving.preserved;
+          check Alcotest.int "total" (min 3 (F.num_vars f)) r.Ec_core.Preserving.total)
+        all_preserving_engines)
+    [ (F.of_lists ~num_vars:2 [ [ 1; 2 ] ], A.of_list 2 [ (1, true); (2, false) ]);
+      (F.of_lists ~num_vars:5 [ [ 1; 4 ]; [ -2; 5 ] ], A.of_list 5 [ (1, true); (2, false) ]) ]
+
 let test_preserving_paper_example () =
   (* §7: F plus two clauses; best preservation is 4 of 5 *)
   let f =
@@ -291,17 +374,34 @@ let test_preserving_paper_example () =
   check Alcotest.int "keeps 4 of 5" 4 r.Ec_core.Preserving.preserved;
   check Alcotest.bool "optimal" true r.Ec_core.Preserving.optimal
 
-let test_preserving_pins () =
-  let f = F.of_lists ~num_vars:3 [ [ 1; 2 ]; [ -1; 3 ] ] in
-  let reference = A.of_list 3 [ (1, true); (2, false); (3, true) ] in
-  (* pin v1=true in both engines *)
+(* [resolve] under [pins] in every engine: each answer must satisfy
+   [f], be optimal, keep [preserved] variables and pass [holds]. *)
+let check_pinned_answers ~pins f ~reference ~preserved holds =
   List.iter
     (fun engine ->
-      let r = Ec_core.Preserving.resolve ~engine ~pins:[ 1 ] f ~reference in
+      let r = Ec_core.Preserving.resolve ~engine ~pins f ~reference in
       match r.Ec_core.Preserving.solution with
-      | Some a -> check Alcotest.bool "pin held" true (A.value a 1 = A.True)
-      | None -> Alcotest.fail "feasible with pin")
-    all_preserving_engines;
+      | Some a ->
+        check Alcotest.bool "satisfies f" true (A.satisfies a f);
+        check Alcotest.bool "optimal" true r.Ec_core.Preserving.optimal;
+        check Alcotest.int "preserved" preserved r.Ec_core.Preserving.preserved;
+        check Alcotest.bool "pinned answer" true (holds a)
+      | None -> Alcotest.fail "feasible with pins")
+    all_preserving_engines
+
+let test_preserving_pins () =
+  let f = F.of_lists ~num_vars:3 [ [ 1; 2 ]; [ -1; 3 ] ] in
+  (* the reference satisfies f, so the kept-all answer holds the pin *)
+  let reference = A.of_list 3 [ (1, true); (2, false); (3, true) ] in
+  check_pinned_answers ~pins:[ 1 ] f ~reference ~preserved:3 (fun a -> A.value a 1 = A.True);
+  (* v3 = F breaks (-1 3), so every engine solves: with v1 pinned the
+     optimum turns v3 on; with v3 pinned it must turn v1 off and v2 on *)
+  let reference = A.of_list 3 [ (1, true); (2, false); (3, false) ] in
+  check Alcotest.bool "reference breaks f" false (A.satisfies reference f);
+  check_pinned_answers ~pins:[ 1 ] f ~reference ~preserved:2 (fun a ->
+      A.equal a (A.of_list 3 [ (1, true); (2, false); (3, true) ]));
+  check_pinned_answers ~pins:[ 3 ] f ~reference ~preserved:1 (fun a ->
+      A.value a 1 <> A.True && A.value a 2 = A.True && A.value a 3 = A.False);
   (* contradictory pin: v1 pinned but formula forces it *)
   let g = F.of_lists ~num_vars:1 [ [ 1 ] ] in
   let ref_neg = A.of_list 1 [ (1, false) ] in
@@ -310,16 +410,18 @@ let test_preserving_pins () =
     (r.Ec_core.Preserving.solution = None)
 
 let test_preserving_dc_pin () =
-  (* a DC pin forces the variable to stay DC in both engines *)
+  (* a DC pin forces the variable to stay DC in every engine; here the
+     reference satisfies f and the kept-all answer holds it *)
   let f = F.of_lists ~num_vars:2 [ [ 1; 2 ] ] in
   let reference = A.of_list 2 [ (1, true) ] in
-  List.iter
-    (fun engine ->
-      let r = Ec_core.Preserving.resolve ~engine ~pins:[ 2 ] f ~reference in
-      match r.Ec_core.Preserving.solution with
-      | Some a -> check Alcotest.bool "v2 stays DC" true (A.value a 2 = A.Dc)
-      | None -> Alcotest.fail "feasible")
-    all_preserving_engines
+  check_pinned_answers ~pins:[ 2 ] f ~reference ~preserved:2 (fun a -> A.value a 2 = A.Dc);
+  (* (F, DC, F) breaks both clauses; turning v2 on repairs them (2 of 3
+     kept), but with v2 pinned DC the engines must turn v1 and v3 on *)
+  let f = F.of_lists ~num_vars:3 [ [ 1; 2 ]; [ 2; 3 ] ] in
+  let reference = A.of_list 3 [ (1, false); (3, false) ] in
+  check_pinned_answers ~pins:[] f ~reference ~preserved:2 (fun a -> A.value a 2 = A.True);
+  check_pinned_answers ~pins:[ 2 ] f ~reference ~preserved:1 (fun a ->
+      A.equal a (A.of_list 3 [ (1, true); (3, true) ]))
 
 (* ---- Backend ---- *)
 
@@ -449,7 +551,10 @@ let tests =
       [ Alcotest.test_case "paper §7 example" `Quick test_preserving_paper_example;
         Alcotest.test_case "pins" `Quick test_preserving_pins;
         Alcotest.test_case "DC pins" `Quick test_preserving_dc_pin;
-        qtest prop_preserving_engines_optimal ] );
+        Alcotest.test_case "kept-all across variable counts" `Quick
+          test_preserving_kept_all_ranges;
+        qtest prop_preserving_engines_optimal;
+        qtest prop_preserving_after_change ] );
     ( "core.backend",
       [ Alcotest.test_case "heuristic soundness" `Quick test_backend_heuristic_sound;
         Alcotest.test_case "empty clause" `Quick test_backend_empty_clause;

@@ -130,7 +130,8 @@ let test_corrupt_core_contained () =
         (try
            ignore (M.solve ~soft:[ -1; -2 ] f);
            false
-         with M.Corrupt_core _ -> true));
+         with M.Corrupt_core _ -> true);
+      Alcotest.(check int) "the drill fired" 1 (Ec_util.Fault.fired ()));
   (* same drill through Preserving.resolve: degraded, not wrong *)
   Ec_util.Fault.arm ~times:1 "maxsat.core" Ec_util.Fault.Corrupt_model;
   Fun.protect ~finally:Ec_util.Fault.reset (fun () ->
@@ -141,6 +142,8 @@ let test_corrupt_core_contained () =
           ~engine:(Ec_core.Preserving.Sat_maxsat M.default_options) f ~reference
       in
       check Alcotest.bool "not claimed optimal" false r.Ec_core.Preserving.optimal;
+      (* the reference breaks the formula, so the engine runs *)
+      Alcotest.(check int) "the drill reached the engine" 1 (Ec_util.Fault.fired ());
       match r.Ec_core.Preserving.reason with
       | Ec_util.Budget.Engine_failure ("maxsat", _) -> ()
       | _ -> Alcotest.fail "expected a contained maxsat engine failure")

@@ -126,6 +126,10 @@ let chain n = F.of_lists ~num_vars:n (List.init (n - 1) (fun i -> [ i + 1; i + 2
 
 let all_true n = A.init n (fun _ -> A.True)
 
+(* Breaks only the chain's first clause, so preserving EC must encode
+   and solve, and its optimum flips one variable. *)
+let first_pair_false n = A.init n (fun v -> if v <= 2 then A.False else A.True)
+
 (* Each case prepares its input outside the measurement and returns
    the call to measure.  From n = 500 to n = 2000 linear growth
    multiplies the words by about 4, quadratic growth by about 16. *)
@@ -141,6 +145,11 @@ let test_r4_models_cost_linear_words () =
         let f = chain n and a = all_true n in
         fun () -> ignore (Ec_sat.Minimize.recover_dc f a));
       ("Preserving.resolve Sat_maxsat", fun n ->
+        let f = chain n and reference = first_pair_false n in
+        check Alcotest.bool "the reference breaks the chain" false (A.satisfies reference f);
+        let engine = Ec_core.Preserving.Sat_maxsat Ec_sat.Maxsat.default_options in
+        fun () -> ignore (Ec_core.Preserving.resolve ~engine f ~reference));
+      ("Preserving.resolve kept-all", fun n ->
         let f = chain n and reference = all_true n in
         let engine = Ec_core.Preserving.Sat_maxsat Ec_sat.Maxsat.default_options in
         fun () -> ignore (Ec_core.Preserving.resolve ~engine f ~reference)) ]
