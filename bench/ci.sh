@@ -115,13 +115,50 @@ cmp -s "$SERVE_OUT.healthy" "$SERVE_CHAOS_OUT.healthy" \
 rm -f "$SERVE_OUT.healthy" "$SERVE_CHAOS_OUT.healthy"
 echo "serve chaos: sick session degraded, healthy stream byte-identical"
 
+# Serve kept-answer smoke: after an add and a removal that the last
+# model still satisfies, the session answers from that model (three
+# certified sat answers, one model, serve.session.already_satisfied 2);
+# a pin the model breaks goes to the engine, which answers unsat.  The
+# session declares v3 up front: a clause that grows the formula past
+# the model goes to the engine.
+echo "== serve kept-answer smoke (ecsat serve --metrics) =="
+KEPT_REQ=$(mktemp /tmp/ecsat-ci-XXXXXX.jsonl)
+KEPT_SERVE_OUT=$(mktemp /tmp/ecsat-ci-XXXXXX.out)
+KEPT_SERVE_METRICS=$(mktemp /tmp/ecsat-ci-XXXXXX.json)
+trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$KEPT_REQ" "$KEPT_SERVE_OUT" "$KEPT_SERVE_METRICS"' EXIT
+cat > "$KEPT_REQ" <<'EOF'
+{"op":"create-session","session":"k","id":1,"num_vars":3,"clauses":[[1,2],[-1,2]]}
+{"op":"solve","session":"k","id":2}
+{"op":"add-clauses","session":"k","id":3,"clauses":[[2,3]]}
+{"op":"solve","session":"k","id":4}
+{"op":"remove-vars","session":"k","id":5,"vars":[1]}
+{"op":"solve","session":"k","id":6}
+{"op":"pin","session":"k","id":7,"lits":[-2]}
+{"op":"solve","session":"k","id":8}
+{"op":"shutdown","id":9}
+EOF
+status=0
+dune exec bin/ecsat.exe -- serve --metrics "$KEPT_SERVE_METRICS" < "$KEPT_REQ" > "$KEPT_SERVE_OUT" || status=$?
+[ "$status" -eq 0 ] || { echo "serve kept-answer smoke: expected exit 0, got $status"; exit 1; }
+responses=$(wc -l < "$KEPT_SERVE_OUT")
+[ "$responses" -eq 9 ] || { echo "serve kept-answer smoke: expected 9 responses, got $responses"; exit 1; }
+certified=$(grep -c '"status":"sat","model":.*"certified":true' "$KEPT_SERVE_OUT")
+[ "$certified" -eq 3 ] || { echo "serve kept-answer smoke: expected 3 certified sat answers, got $certified"; exit 1; }
+models=$(grep -o '"model":\[[^]]*\]' "$KEPT_SERVE_OUT" | sort -u | wc -l)
+[ "$models" -eq 1 ] || { echo "serve kept-answer smoke: the sat answers carry $models models, not one"; exit 1; }
+grep -q '"id":8,"session":"k","status":"unsat"' "$KEPT_SERVE_OUT" \
+  || { echo "serve kept-answer smoke: pinned solve did not report unsat"; exit 1; }
+grep -q '"serve.session.already_satisfied":2' "$KEPT_SERVE_METRICS" \
+  || { echo "serve kept-answer smoke: serve.session.already_satisfied is not 2"; exit 1; }
+echo "serve kept-answer smoke: two solves answered by the last model, pinned solve unsat"
+
 # MaxSAT chaos: the "maxsat.core" failpoint corrupts the first unsat
 # core the engine extracts.  The engine must detect the impossible
 # literal and the CLI must degrade to a structured UNKNOWN (exit 0,
 # never a wrong optimum).
 echo "== maxsat chaos (maxsat.core=corrupt:1) =="
 MAXSAT_CNF=$(mktemp /tmp/ecsat-ci-XXXXXX.cnf)
-trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF"' EXIT
+trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$KEPT_REQ" "$KEPT_SERVE_OUT" "$KEPT_SERVE_METRICS" "$MAXSAT_CNF"' EXIT
 printf 'p cnf 2 1\n1 2 0\n' > "$MAXSAT_CNF"
 MAXSAT_CHAOS=$(ECSAT_FAULTS="maxsat.core=corrupt:1" \
   dune exec bin/ecsat.exe -- preserve --engine maxsat --add=-1 "$MAXSAT_CNF") || \
@@ -141,7 +178,7 @@ echo "maxsat chaos: corrupted core contained as a structured UNKNOWN"
 echo "== preserve kept-all smoke (ecsat preserve --engine maxsat --metrics) =="
 KEPT_CNF=$(mktemp /tmp/ecsat-ci-XXXXXX.cnf)
 KEPT_METRICS=$(mktemp /tmp/ecsat-ci-XXXXXX.json)
-trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF" "$KEPT_CNF" "$KEPT_METRICS"' EXIT
+trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$KEPT_REQ" "$KEPT_SERVE_OUT" "$KEPT_SERVE_METRICS" "$MAXSAT_CNF" "$KEPT_CNF" "$KEPT_METRICS"' EXIT
 dune exec bin/ecsat.exe -- gen jnh1 -o "$KEPT_CNF"
 FIRST_CLAUSE=$(grep -v '^[cp%]' "$KEPT_CNF" | head -1 | sed 's/ *0 *$//; s/^ *//; s/  */,/g')
 status=0
@@ -183,7 +220,7 @@ done
 # touched.
 echo "== benchmark matrix (trend gate over bench/results.jsonl) =="
 STORE_BEFORE=$(mktemp /tmp/ecsat-ci-XXXXXX.jsonl)
-trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$MAXSAT_CNF" "$KEPT_CNF" "$KEPT_METRICS" "$STORE_BEFORE"' EXIT
+trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$KEPT_REQ" "$KEPT_SERVE_OUT" "$KEPT_SERVE_METRICS" "$MAXSAT_CNF" "$KEPT_CNF" "$KEPT_METRICS" "$STORE_BEFORE"' EXIT
 cp bench/results.jsonl "$STORE_BEFORE"
 status=0
 SCALES_ERR=$(dune exec bench/main.exe -- --matrix-scales 0,-3 --store bench/results.jsonl \

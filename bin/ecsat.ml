@@ -420,8 +420,16 @@ let preserve_cmd =
         match r.Ec_core.Flow.result with
         | None -> report_no_solution r.Ec_core.Flow.reason
         | Some u ->
-          Printf.printf "c preserved %.1f%% of the initial solution, %.4fs\n"
-            (100.0 *. u.preserved_fraction) u.resolve_time_s;
+          (* A budget-stopped search returns its incumbent: a model of
+             f', but its count is not a proved optimum. *)
+          (match u.reason with
+          | Ec_util.Budget.Completed ->
+            Printf.printf "c preserved %.1f%% of the initial solution, %.4fs\n"
+              (100.0 *. u.preserved_fraction) u.resolve_time_s
+          | reason ->
+            Printf.printf "c stopped: %s\n" (Ec_util.Budget.reason_to_string reason);
+            Printf.printf "c incumbent preserves %.1f%% of the initial solution, %.4fs\n"
+              (100.0 *. u.preserved_fraction) u.resolve_time_s);
           report_model ~verify u.new_formula u.new_assignment)
   in
   let use_sat =

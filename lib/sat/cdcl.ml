@@ -715,7 +715,11 @@ module Session = struct
         (* The model covers the named variables, not the capacity. *)
         { outcome = Outcome.Sat (extract_assignment t.s t.logical_nvars); core = []; counters }
       | R_unsat core ->
-        if assumptions = [] then t.dead <- true;
+        (* An empty core is a conflict at level 0: the clauses are
+           unsatisfiable whatever the assumptions, and the next solve
+           would not meet that conflict again.  A live session is dead
+           from here exactly then. *)
+        t.dead <- core = [];
         { outcome = Outcome.Unsat; core = List.map dimacs_of_lit core; counters }
       | R_unknown r -> { outcome = Outcome.Unknown r; core = []; counters }
     end

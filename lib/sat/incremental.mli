@@ -28,7 +28,8 @@ val add_clauses : t -> Ec_cnf.Clause.t list -> unit
 val solve :
   ?assumptions:Ec_cnf.Lit.t list -> ?budget:Ec_util.Budget.t -> t -> Outcome.t
 (** Satisfiability of everything posted so far, under assumptions.
-    After [Unsat] (without assumptions) the session is permanently
+    After an unconditional [Unsat] (without assumptions, or a conflict
+    the assumptions play no part in) the session is permanently
     unsatisfiable and keeps answering [Unsat].  [budget] caps this
     call only (intersected with the session options' budget); running
     out answers [Unknown], and the session remains usable.  This is

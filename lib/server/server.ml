@@ -164,7 +164,23 @@ let rec next_event st r =
 
 (* ---- session operations (run on pool workers) -------------------- *)
 
-let latency_hist op = Metrics.histogram ("serve." ^ op ^ ".latency_s")
+(* One latency histogram per op, looked up once here rather than per
+   request (a name concat and the registry lock both workers share). *)
+let latency_hist =
+  let h op = Metrics.histogram ("serve." ^ op ^ ".latency_s") in
+  let create = h "create-session" and solve = h "solve" and add = h "add-clauses"
+  and remove = h "remove-vars" and pin = h "pin" and query = h "query" and close = h "close"
+  and health = h "health" and shutdown = h "shutdown" in
+  function
+  | Wire.Create_session _ -> create
+  | Wire.Solve _ -> solve
+  | Wire.Add_clauses _ -> add
+  | Wire.Remove_vars _ -> remove
+  | Wire.Pin _ -> pin
+  | Wire.Query -> query
+  | Wire.Close -> close
+  | Wire.Health -> health
+  | Wire.Shutdown -> shutdown
 
 let reason_string ~wd_fired = function
   | Budget.Cancelled when wd_fired -> "deadline"
@@ -252,7 +268,7 @@ let execute_op st entry req =
     Wire.error ~session:sname ~id "internal: misrouted op"
 
 let execute st entry req =
-  let op = Wire.op_name req.Wire.req_op in
+  let op = Wire.op_name req.Wire.req_op and latency = latency_hist req.Wire.req_op in
   let started = Unix.gettimeofday () in
   let line =
     Trace.span ~cat:"serve"
@@ -268,7 +284,7 @@ let execute st entry req =
       Wire.error ~session:(Session.name entry.session) ~id:req.Wire.req_id
         ("internal: " ^ Printexc.to_string e)
   in
-  Metrics.observe (latency_hist op) (Unix.gettimeofday () -. started);
+  Metrics.observe latency (Unix.gettimeofday () -. started);
   respond st line
 
 (* The single drain job a session has in flight: pop-execute until the

@@ -1,5 +1,6 @@
 module F = Ec_cnf.Formula
 module A = Ec_cnf.Assignment
+module C = Ec_cnf.Clause
 module O = Ec_sat.Outcome
 module Budget = Ec_util.Budget
 module Fault = Ec_util.Fault
@@ -10,6 +11,7 @@ type t = {
   mutable engine : Ec_sat.Incremental.t;
   mutable epins : Ec_cnf.Lit.t list;
   mutable model : A.t option;
+  mutable holds : bool;           (* [model] satisfies [formula] *)
   mutable rev : int;
   mutable nsolves : int;
   mutable degraded_last : bool;
@@ -39,6 +41,7 @@ let create ~name formula =
       Ec_sat.Incremental.create ~options:(options_for ~name ~rebuilds:0) formula;
     epins = [];
     model = None;
+    holds = false;
     rev = 0;
     nsolves = 0;
     degraded_last = false;
@@ -52,9 +55,20 @@ let num_vars t = F.num_vars t.formula
 
 let num_clauses t = F.num_clauses t.formula
 
+(* Does the last model still satisfy these new or shortened clauses?
+   A clause reaching past the model's range counts as broken: a formula
+   grown past the model goes to the engine anyway. *)
+let still_holds t clauses =
+  match t.model with
+  | Some m when t.holds ->
+    let n = A.num_vars m in
+    List.for_all (fun c -> C.max_var c <= n && A.satisfies_clause m c) clauses
+  | _ -> false
+
 let add_clauses t clauses =
   t.formula <- F.add_clauses t.formula clauses;
   Ec_sat.Incremental.add_clauses t.engine clauses;
+  t.holds <- still_holds t clauses;
   t.rev <- t.rev + 1
 
 let remove_vars t vars =
@@ -63,11 +77,18 @@ let remove_vars t vars =
     Error (Printf.sprintf "variable %d out of range (session has %d)" v
              (F.num_vars t.formula))
   | None ->
-    t.formula <- List.fold_left F.eliminate_var t.formula vars;
+    (* Eliminating [v] shortens each clause [c] that mentions it to
+       [c \ {v}], which implies [c]: the formula only gets stronger, so
+       every clause the engine holds, problem or learnt, stays implied.
+       Posting the shortened clauses makes the engine's clause set
+       equivalent to the new formula; the originals stay as subsumed
+       ones. *)
+    let touched = List.sort_uniq Int.compare (List.concat_map (F.var_occurrences t.formula) vars) in
+    t.formula <- F.eliminate_vars t.formula vars;
+    let shortened = List.map (F.clause t.formula) touched in
+    Ec_sat.Incremental.add_clauses t.engine shortened;
+    t.holds <- still_holds t shortened;
     t.rev <- t.rev + 1;
-    (* Removal weakens the formula: retained learnt clauses are no
-       longer implied, so the warm engine must be rebuilt. *)
-    rebuild t;
     Ok ()
 
 let pin t lits =
@@ -112,9 +133,26 @@ let certify t = function
 
 let qualified t = "serve.session:" ^ t.sname
 
-(* One engine attempt under the chaos failpoints.  [Error] is either
-   an escaped exception or a failed certificate — the containment
-   cases; an honest [Unknown] (deadline, cancellation) is [Ok]. *)
+let already_satisfied_metric = Ec_util.Metrics.counter "serve.session.already_satisfied"
+
+(* The last model answers in place of the engine while it satisfies the
+   formula, covers every variable and makes every pin true; like fast
+   EC's [already_satisfied] it reads no budget. *)
+let kept t =
+  match t.model with
+  | Some m
+    when t.holds
+         && A.num_vars m >= F.num_vars t.formula
+         && List.for_all (A.lit_true m) t.epins ->
+    Ec_util.Metrics.incr already_satisfied_metric;
+    Some (O.Sat m)
+  | _ -> None
+
+(* One attempt under the chaos failpoints: the kept model or the
+   engine.  [Error] is either an escaped exception or a failed
+   certificate — the containment cases; an honest [Unknown] (deadline,
+   cancellation) is [Ok].  A kept model that fails its certificate is
+   dropped, so the retry goes to the engine. *)
 let attempt t ~budget =
   match
     Fault.maybe_raise "serve.session";
@@ -123,12 +161,16 @@ let attempt t ~budget =
     Fault.maybe_delay (qualified t);
     let budget = Fault.burn "serve.session" budget in
     let budget = Fault.burn (qualified t) budget in
-    Ec_sat.Incremental.solve ~assumptions:t.epins ~budget t.engine
+    match kept t with
+    | Some outcome -> outcome
+    | None -> Ec_sat.Incremental.solve ~assumptions:t.epins ~budget t.engine
   with
   | outcome -> (
     match certify t outcome with
     | Ok () -> Ok outcome
-    | Error detail -> Error ("certification: " ^ detail))
+    | Error detail ->
+      t.holds <- false;
+      Error ("certification: " ^ detail))
   | exception e -> Error (Printexc.to_string e)
 
 let span_args t =
@@ -144,7 +186,9 @@ let solve ~budget t =
   t.degraded_last <- false;
   let finish ~retried ~certified outcome =
     (match outcome with
-    | O.Sat a when certified -> t.model <- Some a
+    | O.Sat a when certified ->
+      t.model <- Some a;
+      t.holds <- true
     | _ -> ());
     { outcome; certified; degraded = false; retried }
   in

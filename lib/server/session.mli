@@ -4,11 +4,16 @@
     current formula, the pinned literals (assumptions applied to every
     solve), the last certified model, and a warm
     {!Ec_sat.Incremental} engine that carries learnt clauses across
-    clause additions.  Clause {e addition} strengthens the formula, so
-    the engine is kept; variable {e removal} weakens it and
-    invalidates retained learnt clauses, so the engine is rebuilt from
-    the updated formula — the two complementary mechanisms the paper's
-    §6 is about, applied at the service layer.
+    deltas.  Both deltas strengthen the formula — an added clause
+    does, and eliminating a variable shortens each clause that
+    mentions it to a clause that implies it — so every clause the
+    engine holds stays implied and the engine is kept.
+
+    After a delta most of the last model usually still holds (the
+    paper's §6), so the session tracks, in O(delta), whether its last
+    certified model satisfies the current formula; while it does, and
+    covers every variable and every pin, {!solve} answers it without
+    calling the engine.
 
     Fault containment is per-session by construction: {!solve} runs
     the engine under the caller's budget, passes the answer through
@@ -43,13 +48,19 @@ val num_clauses : t -> int
 
 val add_clauses : t -> Ec_cnf.Clause.t list -> unit
 (** Apply add-clause deltas to the formula and the warm engine (learnt
-    clauses are retained — addition only strengthens). *)
+    clauses are retained — addition only strengthens).  The last model
+    stops answering if it breaks a new clause; a DC literal, or one
+    past the model's range, is not true. *)
 
 val remove_vars : t -> int list -> (unit, string) result
 (** Eliminate each variable (every occurrence deleted, the paper's
-    §4 change); the warm engine is rebuilt because retained learnt
-    clauses are no longer implied.  [Error] on out-of-range variables
-    (the session is untouched). *)
+    §4 change).  Each clause that mentions a removed variable loses
+    that literal, and the shorter clause implies the longer one, so
+    the formula only gets stronger: the shortened clauses are posted
+    to the warm engine, which keeps its learnt clauses, and an emptied
+    clause makes it [Unsat] as the formula is.  The last model stops answering if it
+    breaks a shortened clause.  [Error] on out-of-range variables (the
+    session is untouched). *)
 
 val pin : t -> Ec_cnf.Lit.t list -> (unit, string) result
 (** Replace the pinned literals.  [Error] if a pin references a
@@ -85,5 +96,11 @@ type solve_result = {
 
 val solve : budget:Ec_util.Budget.t -> t -> solve_result
 (** Solve the session's formula under its pins and the given
-    per-request budget.  Never raises: exceptions (including injected
-    faults) are contained as described above. *)
+    per-request budget.  After the chaos failpoints, the last
+    certified model answers in place of the engine while it satisfies
+    the formula, covers {!num_vars} and makes every pin true; that
+    answer reads no budget, is certified like any other, and is
+    counted by the [serve.session.already_satisfied] metric.  A kept
+    model that fails certification stops answering, so the
+    containment retry goes to the engine.  Never raises: exceptions
+    (including injected faults) are contained as described above. *)

@@ -11,10 +11,25 @@ type t =
 
 let escape = Trace.json_escape
 
+(* The digits of [n <= 0], written straight into the buffer: no format
+   parsing and no string per int, as [string_of_int] costs.  Counting
+   on the negative side covers [min_int], which has no positive
+   counterpart. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf i =
+  if i < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+  else add_digits buf (-i)
+
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int i -> add_int buf i
   | Float f ->
     if Float.is_integer f && Float.abs f < 1e15 then
       Buffer.add_string buf (Printf.sprintf "%.1f" f)

@@ -154,6 +154,24 @@ let test_enable_generated_verify () =
       Alcotest.(check int) "enabled solution found" 10 code;
       Alcotest.(check bool) "certified" true (contains out "c certified"))
 
+(* A preserving search stopped by its budget answers with its
+   incumbent: a model of f', so exit 10, but the stop is reported and
+   the count is not printed as a proved optimum. *)
+let test_preserve_stopped_incumbent () =
+  let cnf = Filename.temp_file "ecsat_cli" ".cnf" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove cnf)
+    (fun () ->
+      let code, _ = run_ecsat (Printf.sprintf "gen f600 -o %s" cnf) in
+      Alcotest.(check int) "gen exits 0" 0 code;
+      let code, out =
+        run_ecsat_out (Printf.sprintf "preserve --engine ilp --add=1 --timeout 0.3 %s" cnf)
+      in
+      Alcotest.(check int) "the incumbent satisfies f'" 10 code;
+      Alcotest.(check bool) "the stop is reported" true (contains out "c stopped: deadline");
+      Alcotest.(check bool) "the count is an incumbent's" true (contains out "c incumbent preserves");
+      Alcotest.(check bool) "no optimum claimed" false (contains out "c preserved"))
+
 (* ---- serve: up-front endpoint/bounds validation (exit 2) ---- *)
 
 let reject_serve args needle () =
@@ -231,7 +249,8 @@ let tests =
           test_trace_metrics_happy_path;
         Alcotest.test_case "preserve --metrics unwritable" `Quick
           (reject_sink "preserve" "--metrics");
-        Alcotest.test_case "preserve kept-all --metrics" `Quick test_preserve_kept_all_metrics ] );
+        Alcotest.test_case "preserve kept-all --metrics" `Quick test_preserve_kept_all_metrics;
+        Alcotest.test_case "preserve stopped incumbent" `Quick test_preserve_stopped_incumbent ] );
     ( "cli.enable",
       [ Alcotest.test_case "unit clause: no enabled solution" `Quick
           (enable_answers "p cnf 1 1\n1 0\n" ~code:0 ~line:"s UNKNOWN");

@@ -31,6 +31,18 @@ let test_session_basics () =
   check Alcotest.string "stays unsat" "unsat" (O.to_string (I.solve s));
   check Alcotest.int "solve count" 4 (I.solve_count s)
 
+(* A clause posted false at level 0 meets its conflict in the next
+   solve, here one under assumptions; the solve after that, without
+   them, must not forget it.  The session used to answer that one
+   with a model the clause violates. *)
+let test_root_conflict_under_assumptions () =
+  let s = I.create (F.of_lists ~num_vars:3 [ [ -1 ]; [ -2 ]; [ 1; -3 ] ]) in
+  check Alcotest.bool "sat first" true (O.is_sat (I.solve s));
+  I.add_clause s (C.make [ 1; 2; 3 ]);
+  check Alcotest.string "unsat under assumptions" "unsat"
+    (O.to_string (I.solve ~assumptions:[ -2 ] s));
+  check Alcotest.string "unsat without them" "unsat" (O.to_string (I.solve s))
+
 let test_session_var_growth () =
   let s = I.create (F.of_lists ~num_vars:2 [ [ 1; 2 ] ]) in
   I.add_clause s (C.make [ 7; -1 ]);
@@ -177,4 +189,6 @@ let tests =
         Alcotest.test_case "solve_with_core" `Quick test_solve_with_core;
         Alcotest.test_case "solve_with_core budget" `Quick test_solve_with_core_budget;
         Alcotest.test_case "empty clause" `Quick test_session_empty_clause;
+        Alcotest.test_case "root conflict under assumptions" `Quick
+          test_root_conflict_under_assumptions;
         qtest prop_session_equals_scratch ] ) ]

@@ -15,6 +15,7 @@ module Watchdog = Ec_server.Watchdog
 module Server = Ec_server.Server
 module F = Ec_cnf.Formula
 module C = Ec_cnf.Clause
+module A = Ec_cnf.Assignment
 module O = Ec_sat.Outcome
 module Budget = Ec_util.Budget
 module Fault = Ec_util.Fault
@@ -64,6 +65,14 @@ let test_json_hostile () =
   check Alcotest.bool "lone surrogate rejected" true
     (parse_err {|"\ud83d"|} <> "");
   check Alcotest.bool "bare word rejected" true (parse_err "flase" <> "")
+
+(* Ints are written digit by digit; the text must be [string_of_int]'s,
+   including both ends of the range and the sign boundary. *)
+let prop_json_int_text =
+  let edges = [ 0; 1; -1; 9; -9; 10; -10; max_int; min_int ] in
+  let gen = QCheck.Gen.(oneof [ oneofl edges; int; int_range (-1000) 1000 ]) in
+  QCheck.Test.make ~name:"json ints render as string_of_int" ~count:1000
+    (QCheck.make ~print:string_of_int gen) (fun i -> J.to_string (J.Int i) = string_of_int i)
 
 (* ---- wire ---- *)
 
@@ -154,6 +163,7 @@ let test_session_contains_one_crash () =
   Fun.protect ~finally:Fault.reset @@ fun () ->
   let s = Session.create ~name:"crashy" (F.of_lists ~num_vars:2 [ [ 1; 2 ] ]) in
   let r = Session.solve ~budget:(unlimited ()) s in
+  check Alcotest.int "the failpoint fired" 1 (Fault.fired ());
   check Alcotest.bool "answered sat" true (O.is_sat r.Session.outcome);
   check Alcotest.bool "certified" true r.Session.certified;
   check Alcotest.bool "needed the one retry" true r.Session.retried;
@@ -165,6 +175,7 @@ let test_session_degrades_after_two_crashes () =
   Fun.protect ~finally:Fault.reset @@ fun () ->
   let s = Session.create ~name:"crashy" (F.of_lists ~num_vars:2 [ [ 1; 2 ] ]) in
   let r = Session.solve ~budget:(unlimited ()) s in
+  check Alcotest.int "the failpoint fired twice" 2 (Fault.fired ());
   (match r.Session.outcome with
   | O.Unknown (Budget.Engine_failure (site, detail)) ->
     check Alcotest.string "failure site" "serve.session" site;
@@ -184,14 +195,23 @@ let test_session_validation () =
   | Ok () -> Alcotest.fail "pin accepted an out-of-range literal");
   check Alcotest.int "rejections do not bump the revision" 0 (Session.revision s)
 
-(* Interleaved add-clauses / remove-vars under session-style reuse must
-   stay sound: at every step the session's verdict (through the warm
-   incremental engine, with rebuilds on removal) equals a from-scratch
-   CDCL solve of the mirrored formula. *)
+(* Interleaved add-clauses / remove-vars / pins under session-style
+   reuse must stay sound: at every step the session's verdict (the last
+   model while it holds, else the warm engine) equals a from-scratch
+   CDCL solve of the mirrored formula with the pins as unit clauses.
+   Beside the session, a bare incremental engine gets the same posted
+   clauses — each add, and after a removal every clause it shortened —
+   and is solved at every step too, so the engine stays tested where
+   the session answers from its last model. *)
 let prop_session_add_remove_equals_scratch =
   let gen =
     QCheck.Gen.(
       let* n = int_range 3 7 in
+      let lit =
+        let* v = int_range 1 n in
+        let* s = bool in
+        return (if s then v else -v)
+      in
       let clause =
         let* w = int_range 1 3 in
         let* vars = QCheck.Gen.shuffle_l (List.init n (fun i -> i + 1)) in
@@ -200,31 +220,62 @@ let prop_session_add_remove_equals_scratch =
         return (List.map2 (fun v s -> if s then v else -v) vars signs)
       in
       let op =
-        let* remove = int_range 0 3 in
-        if remove = 0 then
+        let* kind = int_range 0 5 in
+        match kind with
+        | 0 ->
           let* v = int_range 1 n in
           return (`Remove v)
-        else
+        | 1 ->
+          let* k = int_range 0 2 in
+          let* pins = list_repeat k lit in
+          return (`Pin pins)
+        | _ ->
           let* c = clause in
           return (`Add c)
       in
       let* initial = list_repeat 3 clause in
-      let* steps = int_range 1 8 in
+      let* steps = int_range 1 10 in
       let* ops = list_repeat steps op in
       return (n, initial, ops))
   in
+  let print (n, initial, ops) =
+    let lits ls = "[" ^ String.concat ";" (List.map string_of_int ls) ^ "]" in
+    Printf.sprintf "n=%d %s %s" n
+      (String.concat "" (List.map lits initial))
+      (String.concat " "
+         (List.map
+            (function
+              | `Add c -> "add" ^ lits c
+              | `Remove v -> "remove " ^ string_of_int v
+              | `Pin ls -> "pin" ^ lits ls)
+            ops))
+  in
   QCheck.Test.make ~name:"server session add/remove = scratch at every step"
-    ~count:80 (QCheck.make gen)
+    ~count:300 (QCheck.make ~print gen)
     (fun (n, initial, ops) ->
       let f0 = F.of_lists ~num_vars:n initial in
       let s = Session.create ~name:"prop" f0 in
-      let mirror = ref f0 in
+      let engine = Ec_sat.Incremental.create f0 in
+      let mirror = ref f0 and pins = ref [] in
+      let model_ok a =
+        A.satisfies a !mirror && List.for_all (A.lit_true a) !pins
+      in
       let sound () =
+        let scratch =
+          (Ec_sat.Cdcl.solve_response
+             (F.add_clauses !mirror (List.map (fun l -> C.make [ l ]) !pins)))
+            .outcome
+        in
+        let verdict_ok = function
+          | O.Sat a -> O.is_sat scratch && model_ok a
+          | O.Unsat -> scratch = O.Unsat
+          | O.Unknown _ -> false
+        in
         let r = Session.solve ~budget:(unlimited ()) s in
-        match (r.Session.outcome, (Ec_sat.Cdcl.solve_response !mirror).outcome) with
-        | O.Sat _, O.Sat _ -> r.Session.certified
-        | O.Unsat, O.Unsat -> true
-        | _, _ -> false
+        verdict_ok r.Session.outcome
+        && (r.Session.certified = O.is_sat r.Session.outcome)
+        && not r.Session.retried
+        && verdict_ok (Ec_sat.Incremental.solve ~assumptions:!pins engine)
       in
       sound ()
       && List.for_all
@@ -235,13 +286,138 @@ let prop_session_add_remove_equals_scratch =
                | None -> ()
                | Some c ->
                  mirror := F.add_clause !mirror c;
+                 Ec_sat.Incremental.add_clauses engine [ c ];
                  Session.add_clauses s [ c ])
              | `Remove v -> (
                match Session.remove_vars s [ v ] with
-               | Ok () -> mirror := F.eliminate_var !mirror v
-               | Error msg -> Alcotest.failf "in-range remove refused: %s" msg));
+               | Ok () ->
+                 let old = !mirror in
+                 mirror := F.eliminate_var old v;
+                 F.iteri
+                   (fun i c ->
+                     if not (C.equal c (F.clause old i)) then
+                       Ec_sat.Incremental.add_clauses engine [ c ])
+                   !mirror
+               | Error msg -> Alcotest.failf "in-range remove refused: %s" msg)
+             | `Pin lits -> (
+               match Session.pin s lits with
+               | Ok () -> pins := lits
+               | Error msg -> Alcotest.failf "in-range pin refused: %s" msg));
              sound ())
            ops)
+
+(* ---- the last model answers while it holds ---- *)
+
+(* Runs [f] with metrics armed and returns how many solves the last
+   model answered during it. *)
+let kept_answers f =
+  let c = Ec_util.Metrics.counter "serve.session.already_satisfied" in
+  Ec_util.Metrics.reset ();
+  Ec_util.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Ec_util.Metrics.disable ();
+      Ec_util.Metrics.reset ())
+    (fun () ->
+      let r = f () in
+      (r, Ec_util.Metrics.counter_value c))
+
+let solve_sat s =
+  let r = Session.solve ~budget:(unlimited ()) s in
+  match r.Session.outcome with
+  | O.Sat a ->
+    check Alcotest.bool "certified" true r.Session.certified;
+    a
+  | o -> Alcotest.failf "expected sat, got %s" (O.to_string o)
+
+(* The literal of [v] that the model makes true, and its negation. *)
+let true_lit a v = if A.value a v = A.True then v else -v
+
+let false_lit a v = -true_lit a v
+
+let fresh_session () =
+  let s = Session.create ~name:"kept" (F.of_lists ~num_vars:3 [ [ 1; 2; 3 ] ]) in
+  (s, solve_sat s)
+
+let test_kept_add_satisfied () =
+  let s, m = fresh_session () in
+  Session.add_clauses s [ C.make [ true_lit m 1; false_lit m 2 ] ];
+  let a, kept = kept_answers (fun () -> solve_sat s) in
+  check Alcotest.int "answered by the last model" 1 kept;
+  check Alcotest.bool "the same model" true (A.equal m a)
+
+let test_kept_add_broken () =
+  let s, m = fresh_session () in
+  let c = C.make [ false_lit m 1; false_lit m 2 ] in
+  Session.add_clauses s [ c ];
+  let a, kept = kept_answers (fun () -> solve_sat s) in
+  check Alcotest.int "the engine answered" 0 kept;
+  check Alcotest.bool "the answer satisfies the new clause" true (A.satisfies_clause a c)
+
+let test_kept_growth_and_pins () =
+  let s, m = fresh_session () in
+  Session.add_clauses s [ C.make [ true_lit m 1; 4 ] ];
+  let a, kept = kept_answers (fun () -> solve_sat s) in
+  check Alcotest.int "growth past the model goes to the engine" 0 kept;
+  check Alcotest.int "the answer covers the new variable" 4 (A.num_vars a);
+  (match Session.pin s [ false_lit a 2 ] with
+  | Ok () -> ()
+  | Error msg -> Alcotest.fail msg);
+  let b, kept = kept_answers (fun () -> solve_sat s) in
+  check Alcotest.int "a pin the model breaks goes to the engine" 0 kept;
+  check Alcotest.bool "the answer honours the pin" true (A.lit_true b (false_lit a 2));
+  let _, kept = kept_answers (fun () -> solve_sat s) in
+  check Alcotest.int "the pinned model then answers again" 1 kept
+
+let test_kept_removal () =
+  let s = Session.create ~name:"kept" (F.of_lists ~num_vars:4 [ [ 1; 2 ] ]) in
+  let m = solve_sat s in
+  (* v3 and v4 occur only here, and the clause holds through v3 alone. *)
+  Session.add_clauses s [ C.make [ true_lit m 3; false_lit m 4 ] ];
+  let other = if A.value m 1 = A.True then 2 else 1 in
+  (match Session.remove_vars s [ other ] with Ok () -> () | Error msg -> Alcotest.fail msg);
+  let a, kept = kept_answers (fun () -> solve_sat s) in
+  check Alcotest.int "a removal the model survives is kept" 1 kept;
+  check Alcotest.bool "the same model" true (A.equal m a);
+  (match Session.remove_vars s [ 3 ] with Ok () -> () | Error msg -> Alcotest.fail msg);
+  let b, kept = kept_answers (fun () -> solve_sat s) in
+  check Alcotest.int "a removal that breaks the model goes to the engine" 0 kept;
+  check Alcotest.bool "the answer satisfies the shortened clause" true
+    (A.lit_true b (false_lit m 4))
+
+(* An emptied clause makes the warm engine unsatisfiable, as the
+   formula is, and it stays so. *)
+let test_removal_empties_clause () =
+  let s = Session.create ~name:"empty" (F.of_lists ~num_vars:2 [ [ 1 ]; [ 1; 2 ] ]) in
+  ignore (solve_sat s);
+  (match Session.remove_vars s [ 1 ] with Ok () -> () | Error msg -> Alcotest.fail msg);
+  check Alcotest.bool "unsat after the clause empties" true
+    ((Session.solve ~budget:(unlimited ()) s).Session.outcome = O.Unsat);
+  Session.add_clauses s [ C.make [ 2 ] ];
+  check Alcotest.bool "still unsat" true
+    ((Session.solve ~budget:(unlimited ()) s).Session.outcome = O.Unsat)
+
+(* Each op's latency histogram is registered once, under the name
+   built from its wire name. *)
+let test_latency_histograms_registered () =
+  let names =
+    List.filter_map
+      (function Ec_util.Metrics.Histogram_item (n, _) -> Some n | _ -> None)
+      (Ec_util.Metrics.snapshot ())
+  in
+  List.iter
+    (fun op ->
+      let name = "serve." ^ Wire.op_name op ^ ".latency_s" in
+      check Alcotest.bool name true (List.mem name names))
+    [ Wire.Create_session { dimacs = None; num_vars = None; clauses = None };
+      Wire.Solve { deadline_ms = None };
+      Wire.Add_clauses [];
+      Wire.Remove_vars [];
+      Wire.Pin [];
+      Wire.Query;
+      Wire.Close;
+      Wire.Health;
+      Wire.Shutdown ]
 
 (* ---- the daemon in-process, over pipes ---- *)
 
@@ -372,6 +548,7 @@ let test_daemon_backpressure () =
         {|{"op":"solve","session":"slow","id":6}|};
         {|{"op":"shutdown","id":7}|} ]
   in
+  check Alcotest.bool "the failpoint fired" true (Fault.fired () >= 1);
   check Alcotest.int "drains cleanly under overload" 0 code;
   check Alcotest.int "every request answered" 7 (List.length lines);
   let overloaded =
@@ -399,17 +576,20 @@ let chaos_script =
 let healthy_stream lines =
   List.filter (fun l -> contains l {|"session":"healthy"|}) lines
 
+(* Returns the exit code, the responses and how many faults fired. *)
 let run_chaos_variant action =
   Fault.reset ();
   (match action with
   | Some a -> Fault.arm "serve.session:sick" a
   | None -> ());
   Fun.protect ~finally:Fault.reset @@ fun () ->
-  run_server ~expect:(List.length chaos_script) chaos_script
+  let code, lines = run_server ~expect:(List.length chaos_script) chaos_script in
+  (code, lines, Fault.fired ())
 
 let test_daemon_chaos_containment action degraded_marker () =
-  let clean_code, clean_lines = run_chaos_variant None in
-  let chaos_code, chaos_lines = run_chaos_variant (Some action) in
+  let clean_code, clean_lines, _ = run_chaos_variant None in
+  let chaos_code, chaos_lines, fired = run_chaos_variant (Some action) in
+  check Alcotest.bool "the failpoint fired" true (fired >= 1);
   check Alcotest.int "clean run exits 0" 0 clean_code;
   check Alcotest.int "chaos run drains to exit 0" 0 chaos_code;
   check Alcotest.int "chaos run answers every request"
@@ -436,7 +616,8 @@ let tests =
   [ ( "server.json",
       [ Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
         Alcotest.test_case "escapes" `Quick test_json_escapes;
-        Alcotest.test_case "hostile input" `Quick test_json_hostile ] );
+        Alcotest.test_case "hostile input" `Quick test_json_hostile;
+        qtest prop_json_int_text ] );
     ( "server.wire",
       [ Alcotest.test_case "rejections" `Quick test_wire_rejections;
         Alcotest.test_case "fixed field order" `Quick test_wire_render_fixed_order ] );
@@ -451,9 +632,16 @@ let tests =
         Alcotest.test_case "two crashes degrade the request" `Quick
           test_session_degrades_after_two_crashes;
         Alcotest.test_case "validation" `Quick test_session_validation;
+        Alcotest.test_case "kept: add the model satisfies" `Quick test_kept_add_satisfied;
+        Alcotest.test_case "kept: add that breaks the model" `Quick test_kept_add_broken;
+        Alcotest.test_case "kept: growth and pins" `Quick test_kept_growth_and_pins;
+        Alcotest.test_case "kept: removals" `Quick test_kept_removal;
+        Alcotest.test_case "removal empties a clause" `Quick test_removal_empties_clause;
         qtest prop_session_add_remove_equals_scratch ] );
     ( "server.daemon",
       [ Alcotest.test_case "smoke" `Quick test_daemon_smoke;
+        Alcotest.test_case "latency histograms registered" `Quick
+          test_latency_histograms_registered;
         Alcotest.test_case "bad input" `Quick test_daemon_bad_input;
         Alcotest.test_case "oversized line" `Quick test_daemon_oversized_line;
         Alcotest.test_case "backpressure" `Quick test_daemon_backpressure;
