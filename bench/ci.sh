@@ -9,6 +9,25 @@ cd "$(dirname "$0")/.."
 echo "== dune build =="
 dune build @all
 
+# Code layout, recorded, never gated: moving a hot module or a GC entry
+# point to another offset mod 64 has read 4-16% slower on the ecbench
+# workloads with no change in work, so every log states the layout its
+# timings were taken at.  Offsets of the symbols the verify skill's
+# layout check compares, in both benchmarked binaries.
+echo "== code layout (offsets mod 64, not gated) =="
+for exe in ecbench/main.exe bin/ecsat.exe; do
+  syms="camlEc_sat__Cdcl.code_begin camlEc_ilpsolver__Bnb.code_begin caml_major_collection_slice caml_alloc_small_dispatch"
+  if [ "$exe" = bin/ecsat.exe ]; then syms="$syms camlEc_server__Wire.code_begin"; fi
+  for sym in $syms; do
+    addr=$(nm -n "_build/default/$exe" 2>/dev/null | awk -v s="$sym" '$3 == s { print $1 }')
+    if [ -n "$addr" ]; then
+      echo "$exe $sym $((0x$addr % 64))"
+    else
+      echo "$exe $sym not found"
+    fi
+  done
+done
+
 echo "== dune runtest =="
 dune runtest
 

@@ -246,12 +246,31 @@ let sat_encoding ?(objective = `Indicators) pins ~compared f ~reference =
     if not pinned.(v) then unpinned := v :: !unpinned
   done;
   let unpinned = !unpinned in
-  (* The hard clauses, prepended: they read pins (last first), the
-     exclusion clauses (v = n first), the covering clauses (last
-     first), then each unpinned variable's indicator clauses (last
-     variable first), so the indicators go in first. *)
-  let hard = ref [] in
-  let push c = hard := c :: !hard in
+  (* The hard clauses, in one array filled back to front: it reads pins
+     (last first), the exclusion clauses (v = n first), the covering
+     clauses (last first), then each unpinned variable's indicator
+     clauses (last variable first), so the indicators go in first.
+     [free] counts them, then the slots still to fill. *)
+  let indicator_clauses v =
+    match (objective, reference_value reference v) with
+    | `Indicators, (Ec_cnf.Assignment.True | Ec_cnf.Assignment.False) -> 1
+    | `Indicators, Ec_cnf.Assignment.Dc -> 2
+    | `Keep, (Ec_cnf.Assignment.True | Ec_cnf.Assignment.False) -> 0
+    | `Keep, Ec_cnf.Assignment.Dc -> 3
+  in
+  let pin_clauses v =
+    match reference_value reference v with
+    | Ec_cnf.Assignment.True | Ec_cnf.Assignment.False -> 1
+    | Ec_cnf.Assignment.Dc -> 2
+  in
+  let free = ref (Ec_cnf.Formula.num_clauses f + n) in
+  List.iter (fun v -> free := !free + indicator_clauses v) unpinned;
+  List.iter (fun v -> free := !free + pin_clauses v) pins;
+  let clauses = Array.make !free (clause [||]) in
+  let push c =
+    decr free;
+    clauses.(!free) <- c
+  in
   (* Disagreement indicators for unpinned compared variables; a
      variable's clauses are pushed last one first. *)
   let d_base = 2 * n in
@@ -306,6 +325,7 @@ let sat_encoding ?(objective = `Indicators) pins ~compared f ~reference =
         push (clause [| -neg v |]);
         push (clause [| -pos v |]))
     pins;
+  assert (!free = 0);
   let next_var = d_base + !d_count + 1 in
   let d_lits = List.rev !d_lits in
   let decode a =
@@ -331,10 +351,6 @@ let sat_encoding ?(objective = `Indicators) pins ~compared f ~reference =
           if reference_value reference v = phase then Ec_cnf.Assignment.True
           else Ec_cnf.Assignment.False)
   in
-  (* Not [Array.of_list]: an array this long made from a young clause
-     makes the runtime run a minor collection first. *)
-  let clauses = Array.make (List.length !hard) (clause [||]) in
-  List.iteri (fun i c -> clauses.(i) <- c) !hard;
   { e_hard = Ec_cnf.Formula.of_array ~num_vars:(next_var - 1) clauses;
     e_d_lits = d_lits;
     e_next_var = next_var;

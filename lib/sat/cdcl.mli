@@ -64,7 +64,9 @@ val solve_response :
 (** Satisfiability of the formula under the assumptions.  [Sat]
     carries a total assignment over the formula's variables.  [Unsat]
     under assumptions means no model extends them (the formula itself
-    may be satisfiable). *)
+    may be satisfiable).
+    @raise Invalid_argument naming the literal if an assumption is 0 or
+    its variable is above the formula's [num_vars]. *)
 
 (** Incremental sessions: keep learnt clauses, activities and phases
     across clause additions — engineering change at the solver level.
@@ -85,7 +87,10 @@ module Session : sig
   (** [budget] (if given) is intersected with the session options'
       budget for this call only — the per-request allowance of the
       serve daemon.  Its cancellation flag stays live, so a watchdog
-      holding it can stop the solve cooperatively. *)
+      holding it can stop the solve cooperatively.
+      @raise Invalid_argument naming the literal if an assumption is 0
+      or its variable is above {!num_vars}, whatever capacity the
+      session keeps beyond it; nothing is solved or counted then. *)
 
   type core_response = {
     outcome : Outcome.t;
@@ -103,7 +108,8 @@ module Session : sig
   val solve_with_core :
     ?assumptions:Ec_cnf.Lit.t list -> ?budget:Ec_util.Budget.t -> t -> core_response
   (** {!solve} plus the failed-assumption core and per-call counters —
-      the query the core-guided MaxSAT loop ({!Maxsat}) iterates. *)
+      the query the core-guided MaxSAT loop ({!Maxsat}) iterates.
+      @raise Invalid_argument as {!solve}. *)
 
   val solve_count : t -> int
 end

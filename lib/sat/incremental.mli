@@ -33,7 +33,10 @@ val solve :
     unsatisfiable and keeps answering [Unsat].  [budget] caps this
     call only (intersected with the session options' budget); running
     out answers [Unknown], and the session remains usable.  This is
-    the serve daemon's per-request watchdog hook. *)
+    the serve daemon's per-request watchdog hook.
+    @raise Invalid_argument naming the literal if an assumption is 0 or
+    its variable is above {!num_vars} (the variables posted so far),
+    before anything is solved or counted. *)
 
 type core_response = Cdcl.Session.core_response = {
   outcome : Outcome.t;
@@ -50,7 +53,8 @@ val solve_with_core :
     and per-call counters.  This is the incremental query a
     core-guided MaxSAT loop iterates: each [Unsat] core names the soft
     assumptions to relax, and the session keeps its learnt clauses and
-    activities across the calls. *)
+    activities across the calls.
+    @raise Invalid_argument as {!solve}. *)
 
 val solve_count : t -> int
 (** Number of [solve] calls so far (instrumentation). *)

@@ -180,6 +180,106 @@ let prop_session_equals_scratch =
         additions;
       !ok)
 
+(* Property: a session fed random clauses between solves, each solve
+   under a random assumption set, answers soundly every time.  An
+   [Unsat] core is a subset of the assumptions that the formula
+   refutes (the DPLL oracle on the formula plus the core as units); a
+   [Sat] model satisfies the formula and every assumption. *)
+let prop_session_cores_sound =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 3 8 in
+      let lit = map2 (fun v s -> if s then v else -v) (int_range 1 n) bool in
+      let clause = list_size (int_range 1 3) lit in
+      let* initial = list_size (int_range 2 8) clause in
+      let* steps = list_size (int_range 1 10) (pair clause (list_size (int_range 0 4) lit)) in
+      return (n, initial, steps))
+  in
+  QCheck.Test.make ~name:"session cores are sound" ~count:300 (QCheck.make gen)
+    (fun (n, initial, steps) ->
+      let f = ref (F.create ~num_vars:n (List.filter_map C.make_opt initial)) in
+      let session = I.create !f in
+      List.for_all
+        (fun (lits, assumptions) ->
+          (match C.make_opt lits with
+          | None -> ()
+          | Some c ->
+            f := F.add_clause !f c;
+            I.add_clause session c);
+          let r = I.solve_with_core ~assumptions session in
+          match r.I.outcome with
+          | O.Sat a -> A.satisfies a !f && List.for_all (A.lit_true a) assumptions
+          | O.Unsat ->
+            List.for_all (fun l -> List.mem l assumptions) r.I.core
+            && not
+                 (O.is_sat
+                    (Dpll.solve (F.add_clauses !f (List.map (fun l -> C.make [ l ]) r.I.core))))
+          | O.Unknown _ -> false)
+        steps)
+
+(* An assumption names a variable the session has: literal 0 and
+   variables above [num_vars] are rejected, whatever capacity headroom
+   the session keeps behind them. *)
+let test_assumption_outside_variables () =
+  let s = I.create (F.of_lists ~num_vars:3 [ [ 1; 2 ]; [ -1; 3 ] ]) in
+  List.iter
+    (fun l ->
+      Alcotest.check_raises (Printf.sprintf "assumption %d" l)
+        (Invalid_argument
+           (Printf.sprintf "Cdcl.Session.solve: assumption literal %d is outside variables 1..3" l))
+        (fun () -> ignore (I.solve ~assumptions:[ 1; l ] s)))
+    [ 4; -40; 0 ];
+  check Alcotest.int "no solve counted" 0 (I.solve_count s);
+  I.add_clause s (C.make [ -1; 5 ]);
+  match I.solve_with_core ~assumptions:[ 1; -5 ] s with
+  | { I.outcome = O.Unsat; core; _ } ->
+    check Alcotest.(list int) "a grown variable is assumable" [ -5; 1 ] (List.sort compare core)
+  | r -> Alcotest.failf "unsat expected, got %s" (O.to_string r.I.outcome)
+
+(* A long session: round k adds the pigeonhole clauses of 8 pigeons in
+   7 holes, each relaxed by a fresh variable r_k, and solves under
+   [-r_k].  Every round refutes the pigeonhole anew (the learnts of
+   earlier rounds carry their own r_j), a few thousand conflicts, so
+   the learnt database is reduced many times over 80 000 conflicts.
+   The words reachable from the session after a solve in the last
+   20 000 conflicts may exceed those after a solve in the first 20 000
+   by at most half: deleted learnts and moved watch segments are
+   reclaimed, so memory follows the live clauses, not every learnt
+   clause ever made (without the arena's compaction it grows about
+   fourfold). *)
+let test_long_session_memory () =
+  let holes = 7 in
+  let v p h = (p * holes) + h + 1 in
+  let pigeons = List.init (holes + 1) Fun.id in
+  let php =
+    List.map (fun p -> List.init holes (v p)) pigeons
+    @ List.concat_map
+        (fun h ->
+          List.concat_map
+            (fun p -> List.filter_map (fun q -> if p < q then Some [ -v p h; -v q h ] else None) pigeons)
+            pigeons)
+        (List.init holes Fun.id)
+  in
+  let nvars = (holes + 1) * holes in
+  let s = I.create (F.create ~num_vars:nvars []) in
+  let conflicts = ref 0 and round = ref 0 in
+  let early = ref 0 and late = ref 0 in
+  while !conflicts < 80_000 do
+    incr round;
+    let r = nvars + !round in
+    I.add_clauses s (List.map (fun c -> C.make (r :: c)) php);
+    let res = I.solve_with_core ~assumptions:[ -r ] s in
+    check Alcotest.(list int) "core" [ -r ] res.I.core;
+    conflicts := !conflicts + res.I.counters.Ec_util.Budget.spent_conflicts;
+    let words = Obj.reachable_words (Obj.repr s) in
+    if !conflicts <= 20_000 then early := max !early words
+    else if !conflicts >= 60_000 then late := max !late words
+  done;
+  Printf.printf "%d rounds; most words held: %d over the first 20k conflicts, %d over the last\n"
+    !round !early !late;
+  if !late > !early + (!early / 2) then
+    Alcotest.failf "session grew from %d words (first 20k conflicts) to %d (last 20k)" !early !late
+
 let tests =
   [ ( "sat.incremental",
       [ Alcotest.test_case "basics" `Quick test_session_basics;
@@ -191,4 +291,8 @@ let tests =
         Alcotest.test_case "empty clause" `Quick test_session_empty_clause;
         Alcotest.test_case "root conflict under assumptions" `Quick
           test_root_conflict_under_assumptions;
-        qtest prop_session_equals_scratch ] ) ]
+        Alcotest.test_case "assumption outside the variables" `Quick
+          test_assumption_outside_variables;
+        Alcotest.test_case "long session memory" `Slow test_long_session_memory;
+        qtest prop_session_equals_scratch;
+        qtest prop_session_cores_sound ] ) ]

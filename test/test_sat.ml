@@ -93,6 +93,18 @@ let test_cdcl_assumptions () =
   | O.Unsat -> ()
   | _ -> Alcotest.fail "v1 & ~v3 contradicts (-1,3)")
 
+(* Literal 0 and variables above the formula's count name no literal:
+   both are rejected before any solving. *)
+let test_cdcl_assumption_outside_variables () =
+  let f = F.of_lists ~num_vars:3 [ [ 1; 2 ]; [ -1; 3 ] ] in
+  List.iter
+    (fun l ->
+      Alcotest.check_raises (Printf.sprintf "assumption %d" l)
+        (Invalid_argument
+           (Printf.sprintf "Cdcl.solve_response: assumption literal %d is outside variables 1..3" l))
+        (fun () -> ignore (Ec_sat.Cdcl.solve_response ~assumptions:[ l ] f)))
+    [ 7; 0; -4 ]
+
 let prop_cdcl_assumptions_consistent =
   QCheck.Test.make ~name:"cdcl assumptions = adding units" ~count:200 arb_formula
     (fun f ->
@@ -106,25 +118,25 @@ let prop_cdcl_assumptions_consistent =
       | O.Sat _, O.Sat _ | O.Unsat, O.Unsat -> true
       | _, _ -> false)
 
-let test_cdcl_conflict_budget () =
-  (* tiny budget on a pigeonhole-ish instance gives Unknown *)
-  let php n =
-    (* n+1 pigeons, n holes: var p*n + h + 1 *)
-    let v p h = (p * n) + h + 1 in
-    let at_least = List.init (n + 1) (fun p -> List.init n (fun h -> v p h)) in
-    let at_most =
-      List.concat_map
-        (fun h ->
-          List.concat_map
-            (fun p1 ->
-              List.filter_map
-                (fun p2 -> if p1 < p2 then Some [ -v p1 h; -v p2 h ] else None)
-                (List.init (n + 1) Fun.id))
-            (List.init (n + 1) Fun.id))
-        (List.init n Fun.id)
-    in
-    F.of_lists ~num_vars:((n + 1) * n) (at_least @ at_most)
+(* Pigeonhole: n+1 pigeons, n holes, var p*n + h + 1; unsatisfiable. *)
+let php n =
+  let v p h = (p * n) + h + 1 in
+  let at_least = List.init (n + 1) (fun p -> List.init n (fun h -> v p h)) in
+  let at_most =
+    List.concat_map
+      (fun h ->
+        List.concat_map
+          (fun p1 ->
+            List.filter_map
+              (fun p2 -> if p1 < p2 then Some [ -v p1 h; -v p2 h ] else None)
+              (List.init (n + 1) Fun.id))
+          (List.init (n + 1) Fun.id))
+      (List.init n Fun.id)
   in
+  F.of_lists ~num_vars:((n + 1) * n) (at_least @ at_most)
+
+let test_cdcl_conflict_budget () =
+  (* tiny budget on a pigeonhole instance gives Unknown *)
   let f = php 6 in
   (match
      (Ec_sat.Cdcl.solve_response
@@ -210,6 +222,119 @@ let test_cdcl_large_planted () =
   match (Ec_sat.Cdcl.solve_response f).outcome with
   | O.Sat a -> check Alcotest.bool "model valid" true (A.satisfies a f)
   | _ -> Alcotest.fail "planted instance is satisfiable"
+
+(* ---- CDCL work pins ---- *)
+
+(* The solver's work is part of its contract: the data layout may
+   change, the search may not.  Each pin is every [stats] field plus an
+   MD5 of the model; php7 reaches [reduce_db]. *)
+
+let md5_outcome = function
+  | O.Sat a -> "sat " ^ Digest.to_hex (Digest.string (A.to_string a))
+  | O.Unsat -> "unsat"
+  | O.Unknown r -> "unknown " ^ Ec_util.Budget.reason_to_string r
+
+let work_line (r : Ec_sat.Cdcl.response) =
+  let s = r.stats in
+  Printf.sprintf "d=%d p=%d c=%d r=%d l=%d x=%d %s" s.decisions s.propagations s.conflicts
+    s.restarts s.learnt_clauses s.deleted_clauses (md5_outcome r.outcome)
+
+let test_cdcl_work_instances () =
+  let registry name = (Ec_instances.Registry.(build (find name))).formula in
+  List.iter
+    (fun (label, f, expected) ->
+      check Alcotest.string label expected (work_line (Ec_sat.Cdcl.solve_response f)))
+    [ ("jnh1", registry "jnh1", "d=64 p=100 c=0 r=0 l=0 x=0 sat 37384cabee32b876f90d985b92f744e6");
+      ( "par8-1-c", registry "par8-1-c",
+        "d=34 p=80 c=2 r=0 l=2 x=0 sat b611e31999909d6a905ee1e23f09ae94" );
+      ( "par32-5", registry "par32-5",
+        "d=11081 p=18686 c=29 r=0 l=29 x=0 sat 5020c1ec9d911262e2abf4e98e899ba5" );
+      ( "g250.15", registry "g250.15",
+        "d=4351 p=124810 c=418 r=3 l=418 x=0 sat 2adac68dba8485f90ebc7b798d66a99f" );
+      ("php7", php 7, "d=6922 p=80528 c=5731 r=29 l=5727 x=2001 unsat") ]
+
+(* One session stream over clauses a hidden model satisfies: three
+   added before each solve, random assumptions over the session's
+   variables, and every eighth step forty more variables, the second
+   time past the capacity headroom (a rebuild).  Per call: outcome,
+   core, spent conflicts and decisions. *)
+let session_stream () =
+  let rng = Ec_util.Rng.create 2002 in
+  let hidden = A.of_bool_list (List.init 200 (fun _ -> Ec_util.Rng.bool rng)) in
+  let planted num_vars m =
+    List.init m (fun _ -> Ec_cnf.Change.random_clause_satisfied_by rng hidden ~num_vars ~width:3)
+  in
+  let s = Ec_sat.Cdcl.Session.create (F.create ~num_vars:50 (planted 50 210)) in
+  let nv = ref 50 in
+  List.init 24 (fun step ->
+      if step mod 8 = 7 then nv := !nv + 40;
+      Ec_sat.Cdcl.Session.add_clauses s (planted !nv 3);
+      let assumptions =
+        List.map
+          (fun v -> if Ec_util.Rng.bool rng then v + 1 else -(v + 1))
+          (Ec_util.Rng.sample rng (3 + Ec_util.Rng.int rng 10) (Ec_sat.Cdcl.Session.num_vars s))
+      in
+      let r = Ec_sat.Cdcl.Session.solve_with_core ~assumptions s in
+      Printf.sprintf "%s core=[%s] c=%d d=%d" (md5_outcome r.outcome)
+        (String.concat "," (List.map string_of_int r.core))
+        r.counters.Ec_util.Budget.spent_conflicts r.counters.Ec_util.Budget.spent_nodes)
+
+let session_stream_expected =
+  [ "unsat core=[44,-18,35,-6,48,4,-15] c=1 d=0";
+    "sat 9403780c54fcbefaf1133e357ebc79d2 core=[] c=0 d=8";
+    "unsat core=[-14,-18,-3] c=5 d=3";
+    "unsat core=[-18,2,3,-16] c=1 d=0";
+    "unsat core=[-16,-49,2,-34] c=4 d=1";
+    "sat 2d5c584c8f1e51ef9a17c71754459602 core=[] c=2 d=16";
+    "unsat core=[-50,3] c=1 d=0";
+    "unsat core=[13,-4,34,11] c=0 d=0";
+    "unsat core=[33,22] c=6 d=4";
+    "sat 564deb126bcc565276d1c4a6e1c7103f core=[] c=1 d=16";
+    "sat 32f168a82f95d640f1c1fe769d77cbcc core=[] c=0 d=35";
+    "sat 47056f62242226166abd260c46e7092b core=[] c=0 d=34";
+    "sat ef21f25157b37aedc2f6386bfdedec83 core=[] c=0 d=45";
+    "sat c7b3e1b696934e4d8a289ae57e28e3d7 core=[] c=0 d=48";
+    "sat 9e07b97e50c2c1e4c709cb542eb59f46 core=[] c=0 d=38";
+    "sat 64d0e14dc5ea8e7d934786be1002f5f4 core=[] c=9 d=41";
+    "sat bf7a7f4a70147c1b41509595df84cd67 core=[] c=8 d=46";
+    "sat 7b2c3567a4ff174410d16782196ebcf8 core=[] c=0 d=43";
+    "sat ba43fa6589d284ea61fb7a3a7c0ec33a core=[] c=10 d=64";
+    "sat ba43fa6589d284ea61fb7a3a7c0ec33a core=[] c=0 d=52";
+    "unsat core=[-33,-46,-30] c=3 d=0";
+    "sat fdd587370f17261d9dbfece2c2f414c6 core=[] c=7 d=66";
+    "sat 5d5e5885cd3c79cff399e0ce3fb2d44f core=[] c=0 d=66";
+    "sat 780d74d390ce926af3e1256bbc303d1c core=[] c=0 d=74" ]
+
+let test_cdcl_work_session () =
+  check Alcotest.(list string) "per call" session_stream_expected (session_stream ())
+
+(* MaxSAT through preserving EC on a repaired f600 change: the f600
+   base with twenty clauses added that its DC-recovered planted model
+   violates, three pins. *)
+let test_cdcl_work_maxsat () =
+  let inst = Ec_instances.Registry.(build (find "f600")) in
+  let f = inst.Ec_instances.Registry.formula in
+  let reference = Ec_sat.Minimize.recover_dc f inst.Ec_instances.Registry.planted in
+  let rng = Ec_util.Rng.create 5 in
+  let rec violated () =
+    let c = Ec_cnf.Change.random_clause rng ~num_vars:(F.num_vars f) ~width:3 in
+    if C.exists (A.lit_true reference) c then violated () else c
+  in
+  let f = F.add_clauses f (List.init 20 (fun _ -> violated ())) in
+  let r =
+    Ec_core.Preserving.resolve
+      ~engine:(Ec_core.Preserving.Sat_maxsat Ec_sat.Maxsat.default_options)
+      ~pins:[ 3; 7; 11 ] f ~reference
+  in
+  check Alcotest.string "maxsat work"
+    "preserved=576/600 optimal=true sat_calls=26 cores=24 encoded=4808 c=165 d=887 \
+     c2525b99854f47e0a0dda001b415f196"
+    (Printf.sprintf "preserved=%d/%d optimal=%b sat_calls=%d cores=%d encoded=%d c=%d d=%d %s"
+       r.preserved r.total r.optimal r.work.probes r.work.cores r.work.clauses_encoded
+       r.counters.Ec_util.Budget.spent_conflicts r.counters.Ec_util.Budget.spent_nodes
+       (match r.solution with
+       | Some a -> Digest.to_hex (Digest.string (A.to_string a))
+       | None -> "none"))
 
 (* ---- Cardinality ---- *)
 
@@ -320,6 +445,8 @@ let tests =
       [ Alcotest.test_case "units and conflicts at load" `Quick
           test_cdcl_units_and_conflict_at_load;
         Alcotest.test_case "assumptions" `Quick test_cdcl_assumptions;
+        Alcotest.test_case "assumptions outside the variables" `Quick
+          test_cdcl_assumption_outside_variables;
         Alcotest.test_case "conflict budget + php" `Slow test_cdcl_conflict_budget;
         Alcotest.test_case "phase hint" `Quick test_cdcl_phase_hint;
         Alcotest.test_case "large planted instance" `Quick test_cdcl_large_planted;
@@ -328,6 +455,10 @@ let tests =
         Alcotest.test_case "session skips headroom" `Quick test_cdcl_session_skips_headroom;
         qtest prop_cdcl_matches_dpll;
         qtest prop_cdcl_assumptions_consistent ] );
+    ( "sat.cdcl work",
+      [ Alcotest.test_case "instances" `Quick test_cdcl_work_instances;
+        Alcotest.test_case "session stream" `Quick test_cdcl_work_session;
+        Alcotest.test_case "maxsat on a repaired f600 change" `Quick test_cdcl_work_maxsat ] );
     ( "sat.cardinality",
       [ Alcotest.test_case "edge cases" `Quick test_at_most_edges;
         Alcotest.test_case "at_least / exactly" `Quick test_at_least_exactly;
