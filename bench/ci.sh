@@ -6,6 +6,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every temporary file below lives in one directory, removed on exit.
+CI_TMP=$(mktemp -d)
+trap 'rm -rf "$CI_TMP"' EXIT
+
 echo "== dune build =="
 dune build @all
 
@@ -44,8 +48,7 @@ ECSAT_FAULT_SEED=20020610 dune runtest --force
 # are kept as build artifacts, so every CI run leaves a sample Chrome
 # trace and a solver metrics snapshot to inspect.
 echo "== observability artifacts (ecsat fast --trace/--metrics) =="
-OBS_CNF=$(mktemp /tmp/ecsat-ci-XXXXXX.cnf)
-trap 'rm -f "$OBS_CNF"' EXIT
+OBS_CNF="$CI_TMP/obs.cnf"
 dune exec bin/ecsat.exe -- gen jnh1 -o "$OBS_CNF"
 status=0
 dune exec bin/ecsat.exe -- fast "$OBS_CNF" -e 3 --add=1,-2,4 --verify \
@@ -67,8 +70,7 @@ echo "observability artifacts: TRACE_sample.json METRICS.json"
 # clause is satisfiable without one, which is no verdict (exit 0,
 # s UNKNOWN), never the 20 of an unsatisfiable formula.
 echo "== enable smoke (ecsat enable) =="
-ENABLE_CNF=$(mktemp /tmp/ecsat-ci-XXXXXX.cnf)
-trap 'rm -f "$OBS_CNF" "$ENABLE_CNF"' EXIT
+ENABLE_CNF="$CI_TMP/enable.cnf"
 dune exec bin/ecsat.exe -- gen par8-1-c --scale 0.4 -o "$ENABLE_CNF"
 status=0
 ENABLE_OUT=$(dune exec bin/ecsat.exe -- enable --verify "$ENABLE_CNF") || status=$?
@@ -87,10 +89,9 @@ echo "enable smoke: certified enabled solution; no-enabled-solution is UNKNOWN"
 # a mixed op set (create/solve/pin/add-clauses/query/health), then
 # shutdown — every request must be answered and the drain must exit 0.
 echo "== serve smoke (ecsat serve, stdio) =="
-SERVE_REQ=$(mktemp /tmp/ecsat-ci-XXXXXX.jsonl)
-SERVE_OUT=$(mktemp /tmp/ecsat-ci-XXXXXX.out)
-SERVE_CHAOS_OUT=$(mktemp /tmp/ecsat-ci-XXXXXX.out)
-trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT"' EXIT
+SERVE_REQ="$CI_TMP/serve.jsonl"
+SERVE_OUT="$CI_TMP/serve.out"
+SERVE_CHAOS_OUT="$CI_TMP/serve-chaos.out"
 cat > "$SERVE_REQ" <<'EOF'
 {"op":"create-session","session":"healthy","id":1,"clauses":[[1,2],[-1,2],[1,-2]]}
 {"op":"create-session","session":"sick","id":2,"clauses":[[3,4],[-3,4],[3,-4]]}
@@ -131,7 +132,6 @@ grep '"session":"healthy"' "$SERVE_OUT" > "$SERVE_OUT.healthy"
 grep '"session":"healthy"' "$SERVE_CHAOS_OUT" > "$SERVE_CHAOS_OUT.healthy"
 cmp -s "$SERVE_OUT.healthy" "$SERVE_CHAOS_OUT.healthy" \
   || { echo "serve chaos: healthy session stream diverged under faults"; exit 1; }
-rm -f "$SERVE_OUT.healthy" "$SERVE_CHAOS_OUT.healthy"
 echo "serve chaos: sick session degraded, healthy stream byte-identical"
 
 # Serve kept-answer smoke: after an add and a removal that the last
@@ -141,10 +141,9 @@ echo "serve chaos: sick session degraded, healthy stream byte-identical"
 # session declares v3 up front: a clause that grows the formula past
 # the model goes to the engine.
 echo "== serve kept-answer smoke (ecsat serve --metrics) =="
-KEPT_REQ=$(mktemp /tmp/ecsat-ci-XXXXXX.jsonl)
-KEPT_SERVE_OUT=$(mktemp /tmp/ecsat-ci-XXXXXX.out)
-KEPT_SERVE_METRICS=$(mktemp /tmp/ecsat-ci-XXXXXX.json)
-trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$KEPT_REQ" "$KEPT_SERVE_OUT" "$KEPT_SERVE_METRICS"' EXIT
+KEPT_REQ="$CI_TMP/kept.jsonl"
+KEPT_SERVE_OUT="$CI_TMP/kept.out"
+KEPT_SERVE_METRICS="$CI_TMP/kept-metrics.json"
 cat > "$KEPT_REQ" <<'EOF'
 {"op":"create-session","session":"k","id":1,"num_vars":3,"clauses":[[1,2],[-1,2]]}
 {"op":"solve","session":"k","id":2}
@@ -176,8 +175,7 @@ echo "serve kept-answer smoke: two solves answered by the last model, pinned sol
 # literal and the CLI must degrade to a structured UNKNOWN (exit 0,
 # never a wrong optimum).
 echo "== maxsat chaos (maxsat.core=corrupt:1) =="
-MAXSAT_CNF=$(mktemp /tmp/ecsat-ci-XXXXXX.cnf)
-trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$KEPT_REQ" "$KEPT_SERVE_OUT" "$KEPT_SERVE_METRICS" "$MAXSAT_CNF"' EXIT
+MAXSAT_CNF="$CI_TMP/maxsat.cnf"
 printf 'p cnf 2 1\n1 2 0\n' > "$MAXSAT_CNF"
 MAXSAT_CHAOS=$(ECSAT_FAULTS="maxsat.core=corrupt:1" \
   dune exec bin/ecsat.exe -- preserve --engine maxsat --add=-1 "$MAXSAT_CNF") || \
@@ -195,9 +193,8 @@ echo "maxsat chaos: corrupted core contained as a structured UNKNOWN"
 # chaos drill above still reaches its engine because its --add=-1
 # breaks the initial solution, whose v1 is DC.
 echo "== preserve kept-all smoke (ecsat preserve --engine maxsat --metrics) =="
-KEPT_CNF=$(mktemp /tmp/ecsat-ci-XXXXXX.cnf)
-KEPT_METRICS=$(mktemp /tmp/ecsat-ci-XXXXXX.json)
-trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$KEPT_REQ" "$KEPT_SERVE_OUT" "$KEPT_SERVE_METRICS" "$MAXSAT_CNF" "$KEPT_CNF" "$KEPT_METRICS"' EXIT
+KEPT_CNF="$CI_TMP/kept.cnf"
+KEPT_METRICS="$CI_TMP/kept-all-metrics.json"
 dune exec bin/ecsat.exe -- gen jnh1 -o "$KEPT_CNF"
 FIRST_CLAUSE=$(grep -v '^[cp%]' "$KEPT_CNF" | head -1 | sed 's/ *0 *$//; s/^ *//; s/  */,/g')
 status=0
@@ -238,8 +235,7 @@ done
 # First, a scale below 1 must be rejected (exit 2) before the store is
 # touched.
 echo "== benchmark matrix (trend gate over bench/results.jsonl) =="
-STORE_BEFORE=$(mktemp /tmp/ecsat-ci-XXXXXX.jsonl)
-trap 'rm -f "$OBS_CNF" "$ENABLE_CNF" "$SERVE_REQ" "$SERVE_OUT" "$SERVE_CHAOS_OUT" "$KEPT_REQ" "$KEPT_SERVE_OUT" "$KEPT_SERVE_METRICS" "$MAXSAT_CNF" "$KEPT_CNF" "$KEPT_METRICS" "$STORE_BEFORE"' EXIT
+STORE_BEFORE="$CI_TMP/store-before.jsonl"
 cp bench/results.jsonl "$STORE_BEFORE"
 status=0
 SCALES_ERR=$(dune exec bench/main.exe -- --matrix-scales 0,-3 --store bench/results.jsonl \

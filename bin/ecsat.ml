@@ -5,7 +5,6 @@
      ecsat enable     file.cnf                 solve with enabling EC
      ecsat fast       file.cnf --add ...       apply changes, fast-EC re-solve
      ecsat preserve   file.cnf --add ...       apply changes, preserving re-solve
-     ecsat preprocess file.cnf -o out.cnf      simplify an instance
      ecsat gen        par8-1-c -o out.cnf      regenerate a benchmark instance
      ecsat tables     --table 2 --scale 0.2    regenerate the paper's tables
      ecsat serve      --jobs 2                 run the EC daemon
@@ -56,18 +55,11 @@ let engine_opt_arg =
    [check_jobs] convention: an unknown key or malformed value fails in
    milliseconds with a diagnostic on stderr and exit 2. *)
 let apply_engine_opts backend opts =
-  if opts = [] then backend
-  else
-    match Ec_core.Engine_config.apply_all (Ec_core.Backend.to_config backend) opts with
-    | Error e ->
-      Printf.eprintf "ecsat: --engine-opt: %s\n" e;
-      exit 2
-    | Ok c -> (
-      match Ec_core.Backend.of_config c with
-      | Ok b -> b
-      | Error e ->
-        Printf.eprintf "ecsat: --engine-opt: %s\n" e;
-        exit 2)
+  match Ec_core.Engine_config.apply_all (Ec_core.Backend.to_config backend) opts with
+  | Ok c -> Ec_core.Backend.of_config c
+  | Error e ->
+    Printf.eprintf "ecsat: --engine-opt: %s\n" e;
+    exit 2
 
 (* Echoed by every command that accepts [--engine-opt]: the canonical
    config string reproduces the run, the digest keys it into the
@@ -452,39 +444,6 @@ let preserve_cmd =
           $ eliminate_arg $ use_sat $ engine_name $ timeout_arg $ conflicts_arg
           $ verify_arg $ trace_arg $ metrics_arg)
 
-(* ---- preprocess ---- *)
-
-let preprocess_cmd =
-  let run file output =
-    let f = load file in
-    match Ec_sat.Preprocess.simplify f with
-    | `Unsat ->
-      print_endline "c preprocessing proved unsatisfiability";
-      print_endline "s UNSATISFIABLE";
-      20
-    | `Simplified r ->
-      Printf.printf
-        "c %d -> %d clauses (%d removed, %d literals stripped, %d vars fixed, %d eliminated)\n"
-        (Ec_cnf.Formula.num_clauses f)
-        (Ec_cnf.Formula.num_clauses r.Ec_sat.Preprocess.formula)
-        r.Ec_sat.Preprocess.clauses_removed r.Ec_sat.Preprocess.literals_removed
-        (List.length r.Ec_sat.Preprocess.fixed)
-        (List.length r.Ec_sat.Preprocess.eliminated);
-      (match output with
-      | Some path ->
-        Ec_cnf.Dimacs.write_file ~comment:"simplified by ecsat preprocess" path
-          r.Ec_sat.Preprocess.formula;
-        Printf.printf "c wrote %s\n" path
-      | None -> ());
-      0
-  in
-  let output =
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE"
-         ~doc:"Write the simplified formula to a file.")
-  in
-  let doc = "simplify a DIMACS instance (subsumption, elimination, ...)" in
-  Cmd.v (Cmd.info "preprocess" ~doc) Term.(const run $ cnf_file $ output)
-
 (* ---- gen ---- *)
 
 let gen_cmd =
@@ -781,4 +740,4 @@ let () =
   Ec_util.Fault.configure_from_env ();
   let doc = "ILP-based engineering change on SAT (DAC 2002 reproduction)" in
   let info = Cmd.info "ecsat" ~version:"1.0.0" ~doc in
-  exit (Cmd.eval' (Cmd.group info [ solve_cmd; enable_cmd; fast_cmd; preserve_cmd; preprocess_cmd; gen_cmd; tables_cmd; serve_cmd ]))
+  exit (Cmd.eval' (Cmd.group info [ solve_cmd; enable_cmd; fast_cmd; preserve_cmd; gen_cmd; tables_cmd; serve_cmd ]))

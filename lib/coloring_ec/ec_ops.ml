@@ -24,9 +24,7 @@ let add_enabling enc =
       List.init colors (fun c0 ->
           let color = c0 + 1 in
           let s =
-            Ec_ilp.Model.add_var model
-              ~name:(Printf.sprintf "spare_n%dc%d" node color)
-              Ec_ilp.Model.Binary
+            Ec_ilp.Model.add_var model ~name:(Printf.sprintf "spare_n%dc%d" node color)
           in
           (* the node itself must not wear the spare color *)
           Ec_ilp.Model.add_constr model

@@ -12,9 +12,7 @@ let make graph ~colors =
   let n = Graph.num_nodes graph in
   for node = 1 to n do
     for color = 1 to colors do
-      ignore
-        (Ec_ilp.Model.add_var model ~name:(Printf.sprintf "n%dc%d" node color)
-           Ec_ilp.Model.Binary)
+      ignore (Ec_ilp.Model.add_var model ~name:(Printf.sprintf "n%dc%d" node color))
     done
   done;
   let t = { graph; colors; model } in

@@ -20,12 +20,10 @@ let name = function
   | Maxsat _ -> "maxsat"
 
 let of_config = function
-  | Engine_config.Cdcl o -> Ok (Cdcl o)
-  | Engine_config.Bnb o -> Ok (Ilp_exact o)
-  | Engine_config.Heuristic o -> Ok (Ilp_heuristic o)
-  | Engine_config.Maxsat o -> Ok (Maxsat o)
-  | Engine_config.Simplex _ ->
-    Error "simplex is a continuous LP engine, not a feasibility backend"
+  | Engine_config.Cdcl o -> Cdcl o
+  | Engine_config.Bnb o -> Ilp_exact o
+  | Engine_config.Heuristic o -> Ilp_heuristic o
+  | Engine_config.Maxsat o -> Maxsat o
 
 let to_config = function
   | Cdcl o -> Engine_config.Cdcl o
@@ -82,7 +80,6 @@ let observe_response ~engine (c : Ec_util.Budget.counters) =
     Ec_util.Metrics.incr (m "calls");
     Ec_util.Metrics.add (m "conflicts") c.Ec_util.Budget.spent_conflicts;
     Ec_util.Metrics.add (m "decisions") c.Ec_util.Budget.spent_nodes;
-    Ec_util.Metrics.add (m "pivots") c.Ec_util.Budget.spent_pivots;
     Ec_util.Metrics.add (m "restarts") c.Ec_util.Budget.spent_restarts;
     Ec_util.Metrics.add (m "iterations") c.Ec_util.Budget.spent_iterations
   end
@@ -194,8 +191,7 @@ let solve_response ?(recover_dc = true) ?budget ?hint t formula =
             | Some a -> Ec_sat.Outcome.Sat a
             | None -> Ec_sat.Outcome.Unknown Ec_util.Budget.Completed)
           | Ec_ilp.Solution.Infeasible -> Ec_sat.Outcome.Unsat
-          | Ec_ilp.Solution.Unbounded | Ec_ilp.Solution.Unknown ->
-            Ec_sat.Outcome.Unknown r.Ec_ilpsolver.Bnb.reason
+          | Ec_ilp.Solution.Unknown -> Ec_sat.Outcome.Unknown r.Ec_ilpsolver.Bnb.reason
         in
         (outcome, r.Ec_ilpsolver.Bnb.reason, r.Ec_ilpsolver.Bnb.counters)
       | Ilp_heuristic options ->

@@ -40,11 +40,9 @@ val name : t -> string
 (** Short engine identifier ("cdcl", "ilp-bnb", "ilp-heuristic",
     "maxsat") — used in responses, traces and metric names. *)
 
-val of_config : Engine_config.t -> (t, string) result
+val of_config : Engine_config.t -> t
 (** Backend for an engine configuration.  The config plane's [bnb]
-    and [heuristic] are [Ilp_exact] and [Ilp_heuristic] here;
-    [simplex] is [Error] (a continuous LP engine, not a feasibility
-    backend). *)
+    and [heuristic] are [Ilp_exact] and [Ilp_heuristic] here. *)
 
 val to_config : t -> Engine_config.t
 (** The backend's engine configuration — total, so any backend can
@@ -53,7 +51,7 @@ val to_config : t -> Engine_config.t
 
 val observe_response : engine:string -> Ec_util.Budget.counters -> unit
 (** Record a solve's spend under the ["solve.<engine>.*"] metric
-    counters (conflicts, decisions, pivots, restarts, iterations, plus
+    counters (conflicts, decisions, restarts, iterations, plus
     a ["calls"] count) — a no-op unless {!Ec_util.Metrics} is enabled.
     Called internally by every [solve_*] entry point; exposed for
     callers that drive engines outside this module's containment

@@ -33,10 +33,8 @@ let check_model f a =
 
 let check_solution ?(eps = 1e-6) model (s : Ec_ilp.Solution.t) =
   timed "certify.check_solution" @@ fun () ->
-  match s.Ec_ilp.Solution.status with
-  | Ec_ilp.Solution.Infeasible | Ec_ilp.Solution.Unbounded | Ec_ilp.Solution.Unknown ->
-    Ok ()
-  | Ec_ilp.Solution.Optimal | Ec_ilp.Solution.Feasible ->
+  if not (Ec_ilp.Solution.has_point s) then Ok ()
+  else
     let values = s.Ec_ilp.Solution.values in
     if Array.length values <> Ec_ilp.Model.num_vars model then
       Error

@@ -31,7 +31,7 @@ val check_solution :
     arity, satisfies every row and bound ({!Ec_ilp.Validate.check}),
     and the reported objective matches a from-scratch recomputation
     (relative tolerance [eps], default 1e-6).  Verdicts without a
-    point ([Infeasible]/[Unbounded]/[Unknown]) pass vacuously. *)
+    point ([Infeasible]/[Unknown]) pass vacuously. *)
 
 val check_maxsat :
   Ec_cnf.Formula.t -> Ec_sat.Maxsat.result -> (unit, string) result

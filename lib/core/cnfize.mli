@@ -25,8 +25,7 @@ exception Unsupported of string
 (** A row with a non-unit coefficient or non-integral bound. *)
 
 val of_model : Ec_ilp.Model.t -> t
-(** @raise Unsupported on rows outside the ±1 fragment.
-    @raise Invalid_argument on continuous variables. *)
+(** @raise Unsupported on rows outside the ±1 fragment. *)
 
 val point_of_assignment : t -> Ec_cnf.Assignment.t -> float array
 (** Decode a CNF model to a 0-1 point over the model variables.

@@ -23,7 +23,7 @@ let add ?(k = 2) mode enc =
         Ec_cnf.Clause.fold
           (fun acc l ->
             (* Z(j,l) stays unnamed: nothing reads a support's name. *)
-            let z = Ec_ilp.Model.add_var model Ec_ilp.Model.Binary in
+            let z = Ec_ilp.Model.add_var model in
             incr support_vars;
             (* The support literal must be unselected in the solution. *)
             Ec_ilp.Model.add_constr_terms model
@@ -60,9 +60,7 @@ let add ?(k = 2) mode enc =
         Ec_ilp.Model.add_constr_terms model ~name:(Printf.sprintf "flex%d" j) flex_terms
           Ec_ilp.Model.Ge (float_of_int k)
       | Objective _ ->
-        let s =
-          Ec_ilp.Model.add_var model ~name:(Printf.sprintf "S%d" j) Ec_ilp.Model.Binary
-        in
+        let s = Ec_ilp.Model.add_var model ~name:(Printf.sprintf "S%d" j) in
         score_terms := s :: !score_terms;
         (* S_j <= (Σ flex)/k encoded linearly: k·S_j <= Σ flex - (k-1)·0
            — S_j may be 1 only when the flexibility row reaches k.

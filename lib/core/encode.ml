@@ -10,10 +10,10 @@ let of_formula ?(objective = Minimize_selected_phases) formula =
   let n = Ec_cnf.Formula.num_vars formula in
   let model = Ec_ilp.Model.create () in
   for v = 1 to n do
-    ignore (Ec_ilp.Model.add_var model ~name:(Printf.sprintf "x%d" v) Ec_ilp.Model.Binary)
+    ignore (Ec_ilp.Model.add_var model ~name:(Printf.sprintf "x%d" v))
   done;
   for v = 1 to n do
-    ignore (Ec_ilp.Model.add_var model ~name:(Printf.sprintf "x%d'" v) Ec_ilp.Model.Binary)
+    ignore (Ec_ilp.Model.add_var model ~name:(Printf.sprintf "x%d'" v))
   done;
   let lit_id l =
     let v = Ec_cnf.Lit.var l in

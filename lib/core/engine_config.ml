@@ -1,4 +1,4 @@
-(* Closed union of the five engine config specs.  See engine_config.mli
+(* Closed union of the four engine config specs.  See engine_config.mli
    for the contract; the dispatch trick is the usual existential pack:
    each arm pairs its options value with its spec and a re-injection
    function, so every derived operation is written once. *)
@@ -7,7 +7,6 @@ type t =
   | Cdcl of Ec_sat.Cdcl.options
   | Bnb of Ec_ilpsolver.Bnb.options
   | Heuristic of Ec_ilpsolver.Heuristic.options
-  | Simplex of Ec_simplex.Simplex.options
   | Maxsat of Ec_sat.Maxsat.options
 
 type packed = Pack : 'a Ec_util.Config.spec * 'a * ('a -> t) -> packed
@@ -16,7 +15,6 @@ let pack = function
   | Cdcl o -> Pack (Ec_sat.Cdcl.config, o, fun o -> Cdcl o)
   | Bnb o -> Pack (Ec_ilpsolver.Bnb.config, o, fun o -> Bnb o)
   | Heuristic o -> Pack (Ec_ilpsolver.Heuristic.config, o, fun o -> Heuristic o)
-  | Simplex o -> Pack (Ec_simplex.Simplex.config, o, fun o -> Simplex o)
   | Maxsat o -> Pack (Ec_sat.Maxsat.config, o, fun o -> Maxsat o)
 
 (* Defaults per engine, keyed by the spec's own engine name so the two
@@ -25,7 +23,6 @@ let all_defaults =
   [ Cdcl Ec_sat.Cdcl.default_options;
     Bnb Ec_ilpsolver.Bnb.default_options;
     Heuristic Ec_ilpsolver.Heuristic.default_options;
-    Simplex Ec_simplex.Simplex.default_options;
     Maxsat Ec_sat.Maxsat.default_options ]
 
 let name t =

@@ -1,4 +1,4 @@
-(** One value for "an engine plus its tunables", across all five
+(** One value for "an engine plus its tunables", across all four
     engines.
 
     {!Ec_util.Config} gives each engine a typed spec over its own
@@ -8,26 +8,24 @@
     still show, parse, tweak and digest a configuration.
 
     The textual form is [ENGINE] or [ENGINE:KEY=VAL,...], e.g.
-    ["cdcl"], ["bnb:branching=first-unfixed,lp_max_depth=2"],
+    ["cdcl"], ["bnb:branching=first-unfixed,tie_seed=7"],
     ["heuristic:stop_at_first_feasible=true"].  [show] is canonical
     (all fields, spec order), so [parse (show t) = Ok t]; the matrix
     keys cells by {!digest} of that canonical form.
 
     Engine names here are the config-plane names ([cdcl], [bnb],
-    [heuristic], [simplex], [maxsat]); {!Backend} maps the
-    discrete-feasibility subset to its own backend names ([bnb] is
-    ["ilp-bnb"] there, etc.) via [Backend.of_config]. *)
+    [heuristic], [maxsat]); {!Backend} maps each to its own backend
+    name ([bnb] is ["ilp-bnb"] there, etc.) via [Backend.of_config]. *)
 
 type t =
   | Cdcl of Ec_sat.Cdcl.options
   | Bnb of Ec_ilpsolver.Bnb.options
   | Heuristic of Ec_ilpsolver.Heuristic.options
-  | Simplex of Ec_simplex.Simplex.options
   | Maxsat of Ec_sat.Maxsat.options
 
 val engines : string list
 (** Config-plane engine names, in display order:
-    [["cdcl"; "bnb"; "heuristic"; "simplex"; "maxsat"]]. *)
+    [["cdcl"; "bnb"; "heuristic"; "maxsat"]]. *)
 
 val default : string -> (t, string) result
 (** Engine at its default options, by config-plane name.  [Error]

@@ -149,7 +149,7 @@ let resolve_ilp_iterative options pins budget f ~reference =
         stop_reason := r.Ec_ilpsolver.Bnb.reason;
         `Stop)
     | Ec_ilp.Solution.Infeasible -> `Unsat
-    | Ec_ilp.Solution.Unbounded | Ec_ilp.Solution.Unknown ->
+    | Ec_ilp.Solution.Unknown ->
       stop_reason := r.Ec_ilpsolver.Bnb.reason;
       `Stop
   in

@@ -142,7 +142,6 @@ let work_budget () =
 let counters_work (c : Ec_util.Budget.counters) =
   [ ("conflicts", c.Ec_util.Budget.spent_conflicts);
     ("decisions", c.Ec_util.Budget.spent_nodes);
-    ("pivots", c.Ec_util.Budget.spent_pivots);
     ("restarts", c.Ec_util.Budget.spent_restarts);
     ("iterations", c.Ec_util.Budget.spent_iterations) ]
 
@@ -155,9 +154,6 @@ let scaled_spec spec scale =
   let factor = float_of_int scale /. float_of_int spec.Ec_instances.Registry.num_vars in
   Ec_instances.Registry.scale factor spec
 
-let backend_of engine =
-  match Ec_core.Backend.of_config engine with Ok b -> Some b | Error _ -> None
-
 let is_sat = function
   | Ec_sat.Outcome.Sat _ -> true
   | Ec_sat.Outcome.Unsat | Ec_sat.Outcome.Unknown _ -> false
@@ -169,77 +165,47 @@ let solve_work backend formula =
 (* "stream": an EC change stream.  Build one scaled paper instance,
    then alternate add-only deltas (anchored clauses, satisfied by the
    planted assignment — the instance provably stays SAT) with full
-   re-solves.  Every feasibility backend can run it; the planted model
-   certifies each step. *)
+   re-solves.  Every backend can run it; the planted model certifies
+   each step. *)
 let run_stream ~engine ~scale =
-  match backend_of engine with
-  | None -> None
-  | Some backend ->
-    let spec = scaled_spec (List.hd Ec_instances.Registry.small_suite) scale in
-    let inst = Ec_instances.Registry.build spec in
-    let rng = Ec_util.Rng.create (spec.Ec_instances.Registry.seed lxor (31 * scale)) in
-    let num_vars = Ec_cnf.Formula.num_vars inst.Ec_instances.Registry.formula in
-    let delta_size = max 1 (Ec_cnf.Formula.num_clauses inst.Ec_instances.Registry.formula / 20) in
-    let steps = 4 in
-    let rec go step formula ok work =
-      if step > steps then Some (ok, work)
-      else begin
-        let delta =
-          List.init delta_size (fun _ ->
-              Ec_instances.Padding.anchored_clause rng
-                ~planted:inst.Ec_instances.Registry.planted ~num_vars ~width:3)
-        in
-        let formula = Ec_cnf.Formula.add_clauses formula delta in
-        let sat, w = solve_work backend formula in
-        go (step + 1) formula (ok && sat) (sum_work work w)
-      end
-    in
-    let sat0, w0 = solve_work backend inst.Ec_instances.Registry.formula in
-    go 1 inst.Ec_instances.Registry.formula sat0 w0
+  let backend = Ec_core.Backend.of_config engine in
+  let spec = scaled_spec (List.hd Ec_instances.Registry.small_suite) scale in
+  let inst = Ec_instances.Registry.build spec in
+  let rng = Ec_util.Rng.create (spec.Ec_instances.Registry.seed lxor (31 * scale)) in
+  let num_vars = Ec_cnf.Formula.num_vars inst.Ec_instances.Registry.formula in
+  let delta_size = max 1 (Ec_cnf.Formula.num_clauses inst.Ec_instances.Registry.formula / 20) in
+  let steps = 4 in
+  let rec go step formula ok work =
+    if step > steps then Some (ok, work)
+    else begin
+      let delta =
+        List.init delta_size (fun _ ->
+            Ec_instances.Padding.anchored_clause rng
+              ~planted:inst.Ec_instances.Registry.planted ~num_vars ~width:3)
+      in
+      let formula = Ec_cnf.Formula.add_clauses formula delta in
+      let sat, w = solve_work backend formula in
+      go (step + 1) formula (ok && sat) (sum_work work w)
+    end
+  in
+  let sat0, w0 = solve_work backend inst.Ec_instances.Registry.formula in
+  go 1 inst.Ec_instances.Registry.formula sat0 w0
 
 (* "tables": the Tables 1-3 suite (exact tier, scaled), one original
    solve per instance — the tables' base column under an arbitrary
    engine config. *)
 let run_tables ~engine ~scale =
-  match backend_of engine with
-  | None -> None
-  | Some backend ->
-    let specs = List.map (fun s -> scaled_spec s scale) Ec_instances.Registry.small_suite in
-    let ok, work =
-      List.fold_left
-        (fun (ok, work) spec ->
-          let inst = Ec_instances.Registry.build spec in
-          let sat, w = solve_work backend inst.Ec_instances.Registry.formula in
-          (ok && sat, sum_work work w))
-        (true, zero_work) specs
-    in
-    Some (ok, work)
-
-(* "lp": deterministic random feasible bounded LPs for the simplex
-   engine.  Feasible because b > 0 (x = 0 works); bounded because
-   every variable carries an explicit x_j <= 1 row. *)
-let run_lp ~engine ~scale =
-  match engine with
-  | Ec_core.Engine_config.Simplex options ->
-    let rng = Ec_util.Rng.create (0x51317 lxor scale) in
-    let n = max 2 scale in
-    let m = n in
-    let a =
-      Array.init (m + n) (fun i ->
-          if i < m then Array.init n (fun _ -> Ec_util.Rng.float rng)
-          else Array.init n (fun j -> if j = i - m then 1.0 else 0.0))
-    in
-    let b = Array.init (m + n) (fun i -> if i < m then 1.0 +. Ec_util.Rng.float rng else 1.0) in
-    let c = Array.init n (fun _ -> Ec_util.Rng.float rng) in
-    let before = Ec_simplex.Simplex.iterations_performed () in
-    let result =
-      Ec_simplex.Simplex.solve_canonical ~options ~budget:(work_budget ()) ~a ~b ~c ()
-    in
-    let pivots = Ec_simplex.Simplex.iterations_performed () - before in
-    let ok = match result with Ec_simplex.Simplex.Optimal _ -> true | _ -> false in
-    Some (ok, [ ("conflicts", 0); ("decisions", 0); ("pivots", pivots);
-                ("restarts", 0); ("iterations", pivots) ])
-  | _ -> None
+  let backend = Ec_core.Backend.of_config engine in
+  let specs = List.map (fun s -> scaled_spec s scale) Ec_instances.Registry.small_suite in
+  let ok, work =
+    List.fold_left
+      (fun (ok, work) spec ->
+        let inst = Ec_instances.Registry.build spec in
+        let sat, w = solve_work backend inst.Ec_instances.Registry.formula in
+        (ok && sat, sum_work work w))
+      (true, zero_work) specs
+  in
+  Some (ok, work)
 
 (* The ablation scenarios (DESIGN.md §6).  Each runs one named paper
    instance scaled to ~[scale] variables, with fixed seeds and change
@@ -267,12 +233,10 @@ let spent prefix (c : Ec_util.Budget.counters) =
   [ (prefix ^ "_conflicts", c.Ec_util.Budget.spent_conflicts);
     (prefix ^ "_decisions", c.Ec_util.Budget.spent_nodes) ]
 
-(* "optimize" (A1-A3): one B&B optimization-mode solve of jnh201.  The
-   greedy-completion, LP-bounding and branching ablations are B&B
-   configs in [default_engines]; LP bounding prunes only against an
-   incumbent, so decision-mode cells cannot show it.  A solve stopped
-   by the node cap is counted in [capped] and is still ok when it
-   returns a certified point. *)
+(* "optimize" (A1, A3): one B&B optimization-mode solve of jnh201.  The
+   greedy-completion and branching ablations are B&B configs in
+   [default_engines].  A solve stopped by the node cap is counted in
+   [capped] and is still ok when it returns a certified point. *)
 let run_optimize ~engine ~scale =
   match engine with
   | Ec_core.Engine_config.Bnb options ->
@@ -408,47 +372,21 @@ let run_incremental ~engine ~scale =
       spent "scratch" scratch @ spent "session" session @ spent "cone" cone
       @ [ ("cone_misses", misses) ] )
 
-(* "preprocess" (A9): ii8b2 solved by CDCL as is and after
-   Preprocess.simplify; ok when both solve and the reconstructed model
-   satisfies the original formula. *)
-let run_preprocess ~engine ~scale =
-  default_cdcl_only engine @@ fun () ->
-  let formula = (fixture "ii8b2" scale).Ec_instances.Registry.formula in
-  match Ec_sat.Preprocess.simplify formula with
-  | `Unsat -> (false, [])
-  | `Simplified r ->
-    let plain = cdcl_solve formula and pre = cdcl_solve r.Ec_sat.Preprocess.formula in
-    let ok =
-      match (plain.Cdcl.outcome, pre.Cdcl.outcome) with
-      | Ec_sat.Outcome.Sat _, Ec_sat.Outcome.Sat a ->
-        Ec_cnf.Assignment.satisfies (Ec_sat.Preprocess.reconstruct r a) formula
-      | _ -> false
-    in
-    ( ok,
-      [ ("clauses", Ec_cnf.Formula.num_clauses formula);
-        ("clauses_after", Ec_cnf.Formula.num_clauses r.Ec_sat.Preprocess.formula);
-        ("fixed", List.length r.Ec_sat.Preprocess.fixed);
-        ("eliminated", List.length r.Ec_sat.Preprocess.eliminated) ]
-      @ spent "plain" plain.Cdcl.counters @ spent "pre" pre.Cdcl.counters )
-
 let builtins =
   [ custom ~name:"stream" ~run:run_stream;
     custom ~name:"tables" ~run:run_tables;
-    custom ~name:"lp" ~run:run_lp;
     custom ~name:"optimize" ~run:run_optimize;
     custom ~name:"warmstart" ~run:run_warmstart;
     custom ~name:"cone" ~run:run_cone;
-    custom ~name:"incremental" ~run:run_incremental;
-    custom ~name:"preprocess" ~run:run_preprocess ]
+    custom ~name:"incremental" ~run:run_incremental ]
 
-(* One config string per engine, plus the three B&B ablations that
+(* One config string per engine, plus the two B&B ablations that
    [optimize] exists for.  The heuristic runs in first-feasible mode —
    its full objective-improvement mode burns the whole flip budget on
    every (satisfiable) cell for no extra information. *)
 let default_engines =
-  [ "cdcl"; "bnb"; "bnb:greedy_completion=false";
-    "bnb:use_lp_bounding=true,lp_max_depth=6"; "bnb:branching=first-unfixed";
-    "heuristic:stop_at_first_feasible=true"; "maxsat"; "simplex" ]
+  [ "cdcl"; "bnb"; "bnb:greedy_completion=false"; "bnb:branching=first-unfixed";
+    "heuristic:stop_at_first_feasible=true"; "maxsat" ]
 
 (* --- running ------------------------------------------------------ *)
 

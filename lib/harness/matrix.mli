@@ -34,7 +34,7 @@ type cell = {
   ok : bool;             (** scenario-level success (e.g. all steps Sat) *)
   work : (string * int) list;
       (** deterministic work counters, name to value, in a fixed
-          order: (conflicts, decisions, pivots, restarts, iterations)
+          order: (conflicts, decisions, restarts, iterations)
           for solve scenarios, scenario-specific counts for the
           ablations *)
   wall_s : float;        (** the one hardware-sensitive column *)
@@ -76,14 +76,13 @@ val builtins : scenario list
     - ["stream"] — an engineering-change stream: a scaled paper
       instance re-solved after each of several add-only clause
       deltas (each delta satisfied by the planted assignment, so
-      every step stays SAT).  Feasibility backends only.
+      every step stays SAT).  Every engine.
     - ["tables"] — the Tables 1–3 instance suite (exact tier, scaled)
       solved once per instance, the tables' "original solve" column.
-      Feasibility backends only.
-    - ["lp"] — deterministic random feasible bounded LPs solved with
-      the simplex engine; the [simplex] config's scenario.
+      Every engine.
     - ["optimize"] — one B&B optimization-mode solve of [jnh201]
-      (ablations A1–A3); every [bnb] config.  Adds a [capped] count.
+      (ablations A1 and A3); every [bnb] config.  Adds a [capped]
+      count.
     - ["warmstart"] — cold vs phase-hinted CDCL vs optimal preserving
       EC after a Table 3 change to [jnh201], and DC recovery's gain
       (A4, A6).
@@ -91,16 +90,14 @@ val builtins : scenario list
       initial solution of [f600] (A5).
     - ["incremental"] — 25 clause additions to [jnh1] absorbed by
       scratch CDCL, one incremental session, and fast-EC cones (A8).
-    - ["preprocess"] — [ii8b2] solved by CDCL with and without
-      {!Ec_sat.Preprocess} (A9).
 
-    The last four pair with the default [cdcl] config only.  The
+    The last three pair with the default [cdcl] config only.  The
     serve-session scenario lives in [bench/main.ml] (registered via
     {!custom}) because the harness does not link the server. *)
 
 val default_engines : string list
 (** The engine configs the matrix runs when none are named: one per
-    engine, plus the three B&B ablations of ["optimize"]. *)
+    engine, plus the two B&B ablations of ["optimize"]. *)
 
 val custom :
   name:string ->
@@ -118,7 +115,7 @@ val cores_online : unit -> int
 
 val run_cell : commit:string -> scenario -> Ec_core.Engine_config.t -> scale:int -> cell option
 (** Run one cell; [None] when the scenario does not support the
-    engine (e.g. [simplex] × ["stream"]). *)
+    engine (e.g. [cdcl] × ["optimize"]). *)
 
 (** {2 The regression gate} *)
 

@@ -2,10 +2,7 @@ type sense = Minimize | Maximize
 
 type relation = Le | Ge | Eq
 
-type var_kind = Binary | Continuous of float * float
-
 type t = {
-  mutable kinds : var_kind array;
   mutable names : string array;
   mutable nvars : int;
   (* Constraints in CSR form: constraint [i]'s terms are positions
@@ -24,8 +21,7 @@ type t = {
 }
 
 let create () =
-  { kinds = Array.make 16 Binary;
-    names = Array.make 16 "";
+  { names = Array.make 16 "";
     nvars = 0;
     start = Array.make 17 0;
     vars = Array.make 64 0;
@@ -44,13 +40,9 @@ let doubled a n fill =
   Array.blit a 0 b 0 n;
   b
 
-let add_var t ?name kind =
-  if t.nvars = Array.length t.kinds then begin
-    t.kinds <- doubled t.kinds t.nvars Binary;
-    t.names <- doubled t.names t.nvars ""
-  end;
+let add_var ?name t =
+  if t.nvars = Array.length t.names then t.names <- doubled t.names t.nvars "";
   let id = t.nvars in
-  t.kinds.(id) <- kind;
   (match name with
   | None -> t.names.(id) <- ""
   | Some n ->
@@ -65,10 +57,6 @@ let var_out_of_range t i =
   invalid_arg (Printf.sprintf "Model: variable id %d out of range [0,%d)" i t.nvars)
 
 let check_var t i = if i < 0 || i >= t.nvars then var_out_of_range t i
-
-let var_kind t i =
-  check_var t i;
-  t.kinds.(i)
 
 let var_name t i =
   check_var t i;
@@ -231,11 +219,6 @@ let to_string t =
   done;
   Buffer.add_string buf "variables:\n";
   for i = 0 to t.nvars - 1 do
-    let kind =
-      match t.kinds.(i) with
-      | Binary -> "binary"
-      | Continuous (lo, hi) -> Printf.sprintf "[%g, %g]" lo hi
-    in
-    Buffer.add_string buf (Printf.sprintf "  %s: %s\n" (name i) kind)
+    Printf.bprintf buf "  %s: binary\n" (name i)
   done;
   Buffer.contents buf

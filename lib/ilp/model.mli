@@ -1,9 +1,8 @@
-(** 0-1 / mixed linear programming models (§3, equations (1)–(6)).
+(** 0-1 integer linear programming models (§3, equations (1)–(6)).
 
     A model is a mutable builder: declare variables, post constraints,
-    set an objective, then freeze it and hand it to a solver.  The
-    paper's formulations are all 0-1 ILPs; continuous variables exist
-    so the same type can represent LP relaxations.
+    set an objective, then freeze it and hand it to a solver.  Every
+    variable is 0-1, as in all of the paper's formulations.
 
     Constraints are stored flat (compressed sparse rows): one start
     offset per constraint into two growing arrays of variable ids and
@@ -19,21 +18,14 @@ type sense = Minimize | Maximize
 
 type relation = Le | Ge | Eq
 
-type var_kind =
-  | Binary                       (** 0-1 decision variable (the paper's x) *)
-  | Continuous of float * float  (** lower/upper bounds *)
-
 type t
 
 val create : unit -> t
 
-val add_var : t -> ?name:string -> var_kind -> int
-(** Declares a variable and returns its dense id (0-based). *)
+val add_var : ?name:string -> t -> int
+(** Declares a 0-1 variable and returns its dense id (0-based). *)
 
 val num_vars : t -> int
-
-val var_kind : t -> int -> var_kind
-(** @raise Invalid_argument on unknown ids. *)
 
 val var_name : t -> int -> string
 (** The declared name, or ["x<i>"]. *)

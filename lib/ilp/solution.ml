@@ -1,4 +1,4 @@
-type status = Optimal | Feasible | Infeasible | Unbounded | Unknown
+type status = Optimal | Feasible | Infeasible | Unknown
 
 type t = {
   status : status;
@@ -10,10 +10,9 @@ let status_to_string = function
   | Optimal -> "optimal"
   | Feasible -> "feasible"
   | Infeasible -> "infeasible"
-  | Unbounded -> "unbounded"
   | Unknown -> "unknown"
 
-let has_point t = match t.status with Optimal | Feasible -> true | Infeasible | Unbounded | Unknown -> false
+let has_point t = match t.status with Optimal | Feasible -> true | Infeasible | Unknown -> false
 
 let value t i =
   if not (has_point t) then invalid_arg "Solution.value: no point";
@@ -27,7 +26,5 @@ let binary_value ?(eps = 1e-6) t i =
   else invalid_arg (Printf.sprintf "Solution.binary_value: %g is not 0/1" x)
 
 let infeasible = { status = Infeasible; values = [||]; objective = 0.0 }
-
-let unbounded = { status = Unbounded; values = [||]; objective = 0.0 }
 
 let unknown = { status = Unknown; values = [||]; objective = 0.0 }

@@ -1,16 +1,15 @@
-(** Solver results for ILP/LP models. *)
+(** Solver results for 0-1 ILP models. *)
 
 type status =
   | Optimal        (** proved optimal *)
   | Feasible       (** a solution, optimality not proved (heuristics) *)
   | Infeasible
-  | Unbounded
   | Unknown        (** search hit a limit before finding any point *)
 
 type t = {
   status : status;
   values : float array;   (** indexed by model variable id; empty for
-                              [Infeasible]/[Unbounded] *)
+                              [Infeasible]/[Unknown] *)
   objective : float;      (** objective at [values]; 0.0 when no point *)
 }
 
@@ -28,7 +27,5 @@ val binary_value : ?eps:float -> t -> int -> bool
 val has_point : t -> bool
 
 val infeasible : t
-
-val unbounded : t
 
 val unknown : t

@@ -16,13 +16,8 @@ let check ?(eps = 1e-6) model point =
   let add v = violations := v :: !violations in
   for i = 0 to Model.num_vars model - 1 do
     let x = point.(i) in
-    (match Model.var_kind model i with
-    | Model.Binary ->
-      if x < -.eps || x > 1.0 +. eps then add (Bound_violated (i, x))
-      else if abs_float x > eps && abs_float (x -. 1.0) > eps then
-        add (Not_integral (i, x))
-    | Model.Continuous (lo, hi) ->
-      if x < lo -. eps || x > hi +. eps then add (Bound_violated (i, x)))
+    if x < -.eps || x > 1.0 +. eps then add (Bound_violated (i, x))
+    else if abs_float x > eps && abs_float (x -. 1.0) > eps then add (Not_integral (i, x))
   done;
   let start = Model.term_start model in
   let vars = Model.term_vars model and coeffs = Model.term_coeffs model in

@@ -2,8 +2,6 @@ type branching = First_unfixed | Most_constrained
 
 type options = {
   branching : branching;
-  use_lp_bounding : bool;
-  lp_max_depth : int;
   budget : Ec_util.Budget.t;
   greedy_completion : bool;
   tie_seed : int option;
@@ -11,8 +9,6 @@ type options = {
 
 let default_options =
   { branching = Most_constrained;
-    use_lp_bounding = false;
-    lp_max_depth = 4;
     budget = Ec_util.Budget.unlimited;
     greedy_completion = true;
     tie_seed = None }
@@ -29,12 +25,6 @@ let config =
           [ ("first-unfixed", First_unfixed); ("most-constrained", Most_constrained) ]
         ~get:(fun o -> o.branching)
         ~set:(fun v o -> { o with branching = v });
-      Ec_util.Config.bool "use_lp_bounding" ~doc:"LP-relaxation bounding near the root"
-        ~get:(fun o -> o.use_lp_bounding)
-        ~set:(fun v o -> { o with use_lp_bounding = v });
-      Ec_util.Config.int "lp_max_depth" ~doc:"LP bound applied at depths <= this"
-        ~get:(fun o -> o.lp_max_depth)
-        ~set:(fun v o -> { o with lp_max_depth = v });
       Ec_util.Config.bool "greedy_completion"
         ~doc:"finish dominated subtrees greedily by objective sign"
         ~get:(fun o -> o.greedy_completion)
@@ -48,8 +38,6 @@ type stats = {
   nodes : int;
   conflicts : int;
   propagated_fixes : int;
-  lp_calls : int;
-  lp_prunes : int;
 }
 
 type response = {
@@ -91,9 +79,6 @@ type state = {
   mutable nodes : int;
   mutable conflicts : int;
   mutable propagated_fixes : int;
-  mutable lp_calls : int;
-  mutable lp_prunes : int;
-  mutable budget : Ec_util.Budget.t;
   mutable gauge : Ec_util.Budget.gauge;
   mutable tie_rng : Ec_util.Rng.t option;
 }
@@ -156,9 +141,6 @@ let make_state sys =
       nodes = 0;
       conflicts = 0;
       propagated_fixes = 0;
-      lp_calls = 0;
-      lp_prunes = 0;
-      budget = Ec_util.Budget.unlimited;
       gauge = Ec_util.Budget.start Ec_util.Budget.unlimited;
       tie_rng = None }
   in
@@ -292,75 +274,12 @@ let first_value st v =
   else if st.sys.Rows.obj.(v) > 0.0 then 0
   else 1
 
-(* LP bound of the current node: relax free variables to [0,1] with
-   fixed values substituted.  Returns [None] when the node survives,
-   or [Some ()] meaning prune. *)
-let lp_prune st =
-  st.lp_calls <- st.lp_calls + 1;
-  let free = ref [] in
-  for v = st.sys.Rows.nvars - 1 downto 0 do
-    if st.value.(v) = -1 then free := v :: !free
-  done;
-  let free = Array.of_list !free in
-  let index_of = Hashtbl.create (Array.length free) in
-  Array.iteri (fun k v -> Hashtbl.replace index_of v k) free;
-  let nfree = Array.length free in
-  let rows = ref [] in
-  let sys = st.sys in
-  for r = 0 to Rows.num_rows sys - 1 do
-    if st.active.(r) then begin
-      (* rhs minus contribution of fixed vars *)
-      let rhs = ref sys.Rows.ub.(r) in
-      let arr = Array.make nfree 0.0 in
-      for p = sys.Rows.row_start.(r) to sys.Rows.row_start.(r + 1) - 1 do
-        let v = sys.Rows.row_var.(p) and c = sys.Rows.row_coeff.(p) in
-        if st.value.(v) = -1 then begin
-          let k = Hashtbl.find index_of v in
-          arr.(k) <- arr.(k) +. c
-        end
-        else rhs := !rhs -. (c *. float_of_int st.value.(v))
-      done;
-      rows := (arr, !rhs) :: !rows
-    end
-  done;
-  (* x <= 1 bounds *)
-  for k = 0 to nfree - 1 do
-    let arr = Array.make nfree 0.0 in
-    arr.(k) <- 1.0;
-    rows := (arr, 1.0) :: !rows
-  done;
-  let rows = !rows in
-  let a = Array.of_list (List.map fst rows) in
-  let b = Array.of_list (List.map snd rows) in
-  (* We minimize Σ obj over free vars: maximize the negation. *)
-  let c = Array.map (fun v -> -.st.sys.Rows.obj.(v)) free in
-  (* The LP inherits what is left of the node's budget: the deadline
-     shrinks by the time already spent; an [iterations] allowance caps
-     pivots per bounding call. *)
-  let lp_budget =
-    Ec_util.Budget.consume st.budget
-      { Ec_util.Budget.zero with spent_wall_s = Ec_util.Budget.elapsed_s st.gauge }
-  in
-  match Ec_simplex.Simplex.solve_canonical ~budget:lp_budget ~a ~b ~c () with
-  | Ec_simplex.Simplex.Infeasible ->
-    st.lp_prunes <- st.lp_prunes + 1;
-    true
-  | Ec_simplex.Simplex.Unbounded -> false
-  | Ec_simplex.Simplex.Interrupted _ -> false
-  | Ec_simplex.Simplex.Optimal { objective; _ } ->
-    let lower = st.fixed_cost -. objective in
-    if lower >= st.incumbent_obj -. 1e-6 then begin
-      st.lp_prunes <- st.lp_prunes + 1;
-      true
-    end
-    else false
-
 let check_budget st =
   match Ec_util.Budget.check st.gauge ~conflicts:st.conflicts ~nodes:st.nodes with
   | Some r -> raise (Out_of_budget r)
   | None -> ()
 
-let rec search st options ~stop_at_first ~depth =
+let rec search st options ~stop_at_first =
   st.nodes <- st.nodes + 1;
   check_budget st;
   (* Objective bound from fixed cost plus the best the free vars can do. *)
@@ -370,10 +289,6 @@ let rec search st options ~stop_at_first ~depth =
     record_incumbent st (greedy_completion st);
     if stop_at_first then raise Exit
   end
-  else if
-    options.use_lp_bounding && depth <= options.lp_max_depth && st.incumbent <> None
-    && lp_prune st
-  then ()
   else
     let v = pick_branch st options.branching in
     if v < 0 then begin
@@ -389,11 +304,11 @@ let rec search st options ~stop_at_first ~depth =
     end
     else begin
       let b = first_value st v in
-      try_value st options ~stop_at_first ~depth v b;
-      try_value st options ~stop_at_first ~depth v (1 - b)
+      try_value st options ~stop_at_first v b;
+      try_value st options ~stop_at_first v (1 - b)
     end
 
-and try_value st options ~stop_at_first ~depth v b =
+and try_value st options ~stop_at_first v b =
   let mark = st.trail_len in
   st.dirty_head <- 0;
   st.dirty_tail <- 0;
@@ -402,7 +317,7 @@ and try_value st options ~stop_at_first ~depth v b =
     propagate st
   with
   | () ->
-    search st options ~stop_at_first ~depth:(depth + 1);
+    search st options ~stop_at_first;
     backtrack st mark
   | exception Conflict -> backtrack st mark
 
@@ -420,16 +335,14 @@ let corrupt_solution rng (s : Ec_ilp.Solution.t) =
 let forge_infeasible (s : Ec_ilp.Solution.t) =
   match s.Ec_ilp.Solution.status with
   | Ec_ilp.Solution.Optimal | Ec_ilp.Solution.Feasible -> Ec_ilp.Solution.infeasible
-  | Ec_ilp.Solution.Infeasible | Ec_ilp.Solution.Unbounded | Ec_ilp.Solution.Unknown -> s
+  | Ec_ilp.Solution.Infeasible | Ec_ilp.Solution.Unknown -> s
 
 let run ?(options = default_options) ~stop_at_first model =
   Ec_util.Fault.maybe_raise "bnb.solve";
   let options = { options with budget = Ec_util.Fault.burn "bnb.solve" options.budget } in
   let sys = Rows.of_model model in
   let st = make_state sys in
-  st.budget <- options.budget;
   st.gauge <- Ec_util.Budget.start options.budget;
-  let pivots0 = Ec_simplex.Simplex.iterations_performed () in
   (match options.tie_seed with
   | Some seed -> st.tie_rng <- Some (Ec_util.Rng.create seed)
   | None -> ());
@@ -440,7 +353,7 @@ let run ?(options = default_options) ~stop_at_first model =
     done;
     match propagate st with
     | () -> (
-      match search st options ~stop_at_first ~depth:0 with
+      match search st options ~stop_at_first with
       | () -> (true, Ec_util.Budget.Completed)
       | exception Exit ->
         (* First solution requested and found: a point exists but its
@@ -453,9 +366,7 @@ let run ?(options = default_options) ~stop_at_first model =
   let stats =
     { nodes = st.nodes;
       conflicts = st.conflicts;
-      propagated_fixes = st.propagated_fixes;
-      lp_calls = st.lp_calls;
-      lp_prunes = st.lp_prunes }
+      propagated_fixes = st.propagated_fixes }
   in
   let solution =
     match st.incumbent with
@@ -480,7 +391,6 @@ let run ?(options = default_options) ~stop_at_first model =
       { Ec_util.Budget.zero with
         spent_conflicts = st.conflicts;
         spent_nodes = st.nodes;
-        spent_pivots = Ec_simplex.Simplex.iterations_performed () - pivots0;
         spent_wall_s = Ec_util.Budget.elapsed_s st.gauge } }
 
 let solve_response ?options model = run ?options ~stop_at_first:false model

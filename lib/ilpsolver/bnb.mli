@@ -7,8 +7,6 @@
       unit propagation: it fixes forced variables and detects dead
       subtrees early),
     - objective-based pruning against the incumbent,
-    - optional LP-relaxation bounding via {!Ec_simplex.Simplex} near
-      the top of the tree,
     - selectable branching and value-ordering heuristics, read from
       active-row counts that fixing and unfixing keep current, so a
       node costs what its fixes touch rather than a pass over every
@@ -25,12 +23,9 @@ type branching =
 
 type options = {
   branching : branching;
-  use_lp_bounding : bool;
-  lp_max_depth : int;      (** LP bound applied at depths <= this *)
   budget : Ec_util.Budget.t;
       (** nodes and propagation conflicts draw on the shared budget;
-          the deadline and cancellation flag are checked once per node,
-          and LP bounding calls inherit the remaining allowance *)
+          the deadline and cancellation flag are checked once per node *)
   greedy_completion : bool;
       (** when every row is satisfied under any completion of the
           current partial point, finish it greedily by objective sign
@@ -43,21 +38,18 @@ type options = {
 }
 
 val default_options : options
-(** [Most_constrained], no LP bounding, greedy completion on, no
-    limits. *)
+(** [Most_constrained], greedy completion on, no limits. *)
 
 val config : options Ec_util.Config.spec
 (** Tunable surface for the unified config plane: [branching]
-    ([first-unfixed]|[most-constrained]), [use_lp_bounding],
-    [lp_max_depth], [greedy_completion], [tie_seed] (["none"] =
-    deterministic).  The budget stays outside the spec. *)
+    ([first-unfixed]|[most-constrained]), [greedy_completion],
+    [tie_seed] (["none"] = deterministic).  The budget stays outside
+    the spec. *)
 
 type stats = {
   nodes : int;
   conflicts : int;
   propagated_fixes : int;
-  lp_calls : int;
-  lp_prunes : int;
 }
 
 type response = {
@@ -71,7 +63,6 @@ type response = {
 }
 
 val solve_response : ?options:options -> Ec_ilp.Model.t -> response
-(** @raise Invalid_argument if the model has continuous variables. *)
 
 val solve_decision_response : ?options:options -> Ec_ilp.Model.t -> response
 (** Like {!solve_response} but stops at the first feasible point

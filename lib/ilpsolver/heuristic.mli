@@ -58,4 +58,3 @@ type response = {
 }
 
 val solve_response : ?options:options -> Ec_ilp.Model.t -> response
-(** @raise Invalid_argument if the model has continuous variables. *)

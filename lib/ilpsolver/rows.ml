@@ -42,12 +42,6 @@ let occurrences nvars row_start row_var row_coeff =
   (occ_start, occ_row, occ_coeff)
 
 let of_model model =
-  let nvars = Model.num_vars model in
-  for i = 0 to nvars - 1 do
-    match Model.var_kind model i with
-    | Model.Binary -> ()
-    | Model.Continuous _ -> invalid_arg "Rows.of_model: continuous variable in a 0-1 model"
-  done;
   let nconstrs = Model.num_constrs model in
   let start = Model.term_start model in
   let vars = Model.term_vars model and coeffs = Model.term_coeffs model in
@@ -62,6 +56,7 @@ let of_model model =
   let row_var = Array.make !nnz 0 and row_coeff = Array.make !nnz 0.0 in
   let ub = Array.make !nrows 0.0 and origin = Array.make !nrows 0 in
   let r = ref 0 in
+  let nvars = Model.num_vars model in
   (* Constraint [i] as a [<=] row, negated when [neg]. *)
   let add_row i neg =
     let lo = start.(i) and at = row_start.(!r) in

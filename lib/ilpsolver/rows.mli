@@ -40,7 +40,6 @@ type t = {
 }
 
 val of_model : Ec_ilp.Model.t -> t
-(** @raise Invalid_argument if the model has non-binary variables. *)
 
 val num_rows : t -> int
 

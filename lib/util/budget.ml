@@ -73,7 +73,6 @@ let combine a b =
 type counters = {
   spent_conflicts : int;
   spent_nodes : int;
-  spent_pivots : int;
   spent_restarts : int;
   spent_iterations : int;
   spent_wall_s : float;
@@ -82,7 +81,6 @@ type counters = {
 let zero =
   { spent_conflicts = 0;
     spent_nodes = 0;
-    spent_pivots = 0;
     spent_restarts = 0;
     spent_iterations = 0;
     spent_wall_s = 0.0 }
@@ -90,7 +88,6 @@ let zero =
 let add a b =
   { spent_conflicts = a.spent_conflicts + b.spent_conflicts;
     spent_nodes = a.spent_nodes + b.spent_nodes;
-    spent_pivots = a.spent_pivots + b.spent_pivots;
     spent_restarts = a.spent_restarts + b.spent_restarts;
     spent_iterations = a.spent_iterations + b.spent_iterations;
     spent_wall_s = a.spent_wall_s +. b.spent_wall_s }
@@ -101,7 +98,7 @@ let consume t c =
     time_s = Option.map (fun s -> Float.max 0.0 (s -. c.spent_wall_s)) t.time_s;
     conflicts = sub t.conflicts c.spent_conflicts;
     nodes = sub t.nodes c.spent_nodes;
-    iterations = sub t.iterations (c.spent_iterations + c.spent_pivots) }
+    iterations = sub t.iterations c.spent_iterations }
 
 type gauge = {
   limit : t;

@@ -1,13 +1,13 @@
 (** Unified solver resource control.
 
     Every engine in the repository (CDCL, MaxSAT, branch & bound, the
-    min-conflicts heuristic, the simplex LP core) accepts one [t]
-    describing how much work a solve is allowed to do — wall-clock
-    time, conflicts, search nodes, iterations (heuristic flips and
-    simplex pivots) — plus a cooperative cancellation flag.  Engines
-    report how a solve stopped as a {!reason} and what it spent as
-    {!counters}, which is what lets {!Ec_core.Flow} hand a fast-EC
-    fallback the budget the cone solve left ({!consume}).
+    min-conflicts heuristic) accepts one [t] describing how much work
+    a solve is allowed to do — wall-clock time, conflicts, search
+    nodes, iterations (heuristic flips) — plus a cooperative
+    cancellation flag.  Engines report how a solve stopped as a
+    {!reason} and what it spent as {!counters}, which is what lets
+    {!Ec_core.Flow} hand a fast-EC fallback the budget the cone solve
+    left ({!consume}).
 
     Time is stored as a {e relative} allowance, not an absolute
     deadline: budgets live in configuration records built long before
@@ -21,7 +21,7 @@ type reason =
   | Deadline          (** wall-clock allowance exhausted *)
   | Conflict_budget
   | Node_budget
-  | Iteration_budget  (** heuristic flips / simplex pivots exhausted *)
+  | Iteration_budget  (** heuristic flips exhausted *)
   | Cancelled         (** the cooperative cancellation flag was raised *)
   | Engine_failure of string * string
       (** the engine itself misbehaved — it raised an exception, or its
@@ -38,7 +38,7 @@ type t = {
   time_s : float option;     (** wall-clock allowance, seconds *)
   conflicts : int option;    (** CDCL / B&B conflicts allowed *)
   nodes : int option;        (** search nodes allowed *)
-  iterations : int option;   (** flips / pivots allowed *)
+  iterations : int option;   (** flips allowed *)
   cancel : bool Atomic.t;    (** cooperative cancellation flag; atomic
                                  so it can be raised from another
                                  domain (the serve watchdog) *)
@@ -91,13 +91,10 @@ val combine : t -> t -> t
     is taken from the first argument unless it is the never-raised
     sentinel, in which case the second's is used. *)
 
-(** What a solve spent.  [pivots] are simplex pivots (they draw on the
-    [iterations] budget, as do heuristic flips, but are reported
-    separately); [restarts] are informational only. *)
+(** What a solve spent.  [restarts] are informational only. *)
 type counters = {
   spent_conflicts : int;
   spent_nodes : int;
-  spent_pivots : int;
   spent_restarts : int;
   spent_iterations : int;
   spent_wall_s : float;
@@ -113,15 +110,14 @@ val add : counters -> counters -> counters
 val consume : t -> counters -> t
 (** Remaining budget after the given expenditure, clamped at zero in
     each dimension: the budget a fallback stage should hand to its
-    successor.  Pivots and iterations both reduce the [iterations]
-    allowance.  The cancellation flag is shared, not copied. *)
+    successor.  The cancellation flag is shared, not copied. *)
 
 (** {2 Per-solve gauges}
 
     A gauge arms a budget for one solve: it fixes the absolute
     deadline and counts checks so the clock is only consulted every
     few ticks.  Engines call {!check} once per coarse unit of work
-    (conflict, node, a handful of flips or pivots) with their running
+    (conflict, node, a handful of flips) with their running
     totals. *)
 
 type gauge

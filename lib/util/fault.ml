@@ -147,7 +147,6 @@ let sites =
     ("bnb.answer", [ Corrupt_model; Forge_unsat ]);
     ("heuristic.solve", [ Raise_exn; Burn_budget ]);
     ("heuristic.answer", [ Corrupt_model; Forge_unsat ]);
-    ("simplex.solve", [ Raise_exn; Burn_budget ]);
     ("maxsat.core", [ Corrupt_model ]);
     ("serve.dispatch", [ Raise_exn; Delay ]);
     ("serve.session", [ Raise_exn; Burn_budget; Delay ]) ]

@@ -17,7 +17,6 @@
     - ["cdcl.solve"], ["cdcl.answer"]
     - ["bnb.solve"], ["bnb.answer"]
     - ["heuristic.solve"], ["heuristic.answer"]
-    - ["simplex.solve"]
     - ["maxsat.core"]
     - ["serve.dispatch"], ["serve.session"]
 

@@ -57,7 +57,6 @@ let test_consume () =
     { Bu.zero with
       Bu.spent_conflicts = 4;
       spent_nodes = 25;
-      spent_pivots = 3;
       spent_iterations = 4;
       spent_wall_s = 2.5
     }
@@ -65,8 +64,7 @@ let test_consume () =
   let r = Bu.consume b spent in
   check (Alcotest.option Alcotest.int) "conflicts" (Some 6) r.Bu.conflicts;
   check (Alcotest.option Alcotest.int) "nodes clamp at 0" (Some 0) r.Bu.nodes;
-  check (Alcotest.option Alcotest.int) "pivots+iterations share" (Some 3)
-    r.Bu.iterations;
+  check (Alcotest.option Alcotest.int) "iterations" (Some 6) r.Bu.iterations;
   check (Alcotest.option (Alcotest.float 1e-9)) "time" (Some 7.5) r.Bu.time_s;
   (* unlimited dimensions stay unlimited *)
   let u = Bu.consume Bu.unlimited spent in
@@ -145,17 +143,6 @@ let test_engines_observe_cancellation () =
       | O.Unknown Bu.Cancelled -> ()
       | _ -> Alcotest.fail (name ^ ": cancelled solve must be Unknown"))
     Ec_core.Backend.[ cdcl; ilp_exact; ilp_heuristic; maxsat ]
-
-let test_simplex_interrupted () =
-  match
-    Ec_simplex.Simplex.solve_canonical
-      ~budget:(Bu.create ~iterations:0 ())
-      ~a:[| [| 1.; 2. |]; [| 3.; 1. |] |] ~b:[| 4.; 6. |] ~c:[| 1.; 1. |] ()
-  with
-  | Ec_simplex.Simplex.Interrupted r -> check reason "pivots 0" Bu.Iteration_budget r
-  | Ec_simplex.Simplex.Optimal _ | Ec_simplex.Simplex.Infeasible
-  | Ec_simplex.Simplex.Unbounded ->
-    Alcotest.fail "0-pivot budget must interrupt"
 
 (* ---- generous budgets do not change answers ---- *)
 
@@ -268,7 +255,6 @@ let tests =
       [ Alcotest.test_case "cdcl reasons" `Quick test_cdcl_reasons;
         Alcotest.test_case "bnb node budget" `Quick test_bnb_reason;
         Alcotest.test_case "heuristic iteration budget" `Quick test_heuristic_reason;
-        Alcotest.test_case "simplex pivot budget" `Quick test_simplex_interrupted;
         Alcotest.test_case "every engine observes cancellation" `Quick
           test_engines_observe_cancellation;
         Alcotest.test_case "generous budget bit-for-bit" `Quick

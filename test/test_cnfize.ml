@@ -11,9 +11,9 @@ module C = Ec_core.Cnfize
 
 let test_simple_rows () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
-  let y = M.add_var m M.Binary in
-  let z = M.add_var m M.Binary in
+  let x = M.add_var m in
+  let y = M.add_var m in
+  let z = M.add_var m in
   (* x + y + z >= 2;  x + y <= 1 *)
   M.add_constr m (E.of_terms [ (1.0, x); (1.0, y); (1.0, z) ]) M.Ge 2.0;
   M.add_constr m (E.of_terms [ (1.0, x); (1.0, y) ]) M.Le 1.0;
@@ -27,7 +27,7 @@ let test_simple_rows () =
 
 let test_infeasible_row () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
+  let x = M.add_var m in
   M.add_constr m (E.of_terms [ (1.0, x) ]) M.Ge 2.0;
   let cnf = C.of_model m in
   check Alcotest.string "trivially unsat" "unsat"
@@ -35,7 +35,7 @@ let test_infeasible_row () =
 
 let test_unsupported () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
+  let x = M.add_var m in
   M.add_constr m (E.of_terms [ (2.0, x) ]) M.Le 1.0;
   check Alcotest.bool "general coefficients rejected" false (C.supported m);
   (match C.of_model m with
@@ -44,8 +44,8 @@ let test_unsupported () =
 
 let test_negative_coefficients () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
-  let y = M.add_var m M.Binary in
+  let x = M.add_var m in
+  let y = M.add_var m in
   (* x - y <= -1  <=>  x=0, y=1 *)
   M.add_constr m (E.of_terms [ (1.0, x); (-1.0, y) ]) M.Le (-1.0);
   let cnf = C.of_model m in
@@ -78,7 +78,7 @@ let prop_cnfize_equisatisfiable =
     (fun (n, rows) ->
       let m = M.create () in
       for _ = 1 to n do
-        ignore (M.add_var m M.Binary)
+        ignore (M.add_var m)
       done;
       List.iter
         (fun (terms, rel, rhs) ->
@@ -121,7 +121,7 @@ let test_preserving_model_unsupported_is_handled () =
   (* the cnfize fragment covers our models; a synthetic general row
      must route to the B&B fallback inside Backend.solve_model_response *)
   let m = M.create () in
-  let x = M.add_var m M.Binary in
+  let x = M.add_var m in
   M.add_constr m (E.of_terms [ (3.0, x) ]) M.Le 2.0;
   M.set_objective m M.Minimize (E.var x);
   let s = (Ec_core.Backend.solve_model_response Ec_core.Backend.cdcl m).solution in

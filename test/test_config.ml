@@ -24,14 +24,11 @@ let gen_cdcl =
 let gen_bnb =
   QCheck.Gen.(
     let* branching = oneofl [ Ec_ilpsolver.Bnb.First_unfixed; Ec_ilpsolver.Bnb.Most_constrained ] in
-    let* lp = bool in
-    let* depth = int_range 0 32 in
     let* greedy = bool in
     let* tie = oneof [ return None; map Option.some (int_range 0 1_000_000) ] in
     return
       { Ec_ilpsolver.Bnb.default_options with
-        branching; use_lp_bounding = lp; lp_max_depth = depth; greedy_completion = greedy;
-        tie_seed = tie })
+        branching; greedy_completion = greedy; tie_seed = tie })
 
 let gen_heuristic =
   QCheck.Gen.(
@@ -45,11 +42,6 @@ let gen_heuristic =
       { Ec_ilpsolver.Heuristic.default_options with
         max_flips = flips; max_restarts = restarts; noise; tabu_tenure = tenure; seed;
         stop_at_first_feasible = stop })
-
-let gen_simplex =
-  QCheck.Gen.(
-    let* factor = int_range 0 1000 in
-    return { Ec_simplex.Simplex.default_options with bland_factor = factor })
 
 let gen_maxsat =
   QCheck.Gen.map (fun cdcl -> { Ec_sat.Maxsat.default_options with cdcl }) gen_cdcl
@@ -82,7 +74,6 @@ let all_roundtrips =
   roundtrip_tests "cdcl" Ec_sat.Cdcl.config gen_cdcl
   @ roundtrip_tests "bnb" Ec_ilpsolver.Bnb.config gen_bnb
   @ roundtrip_tests "heuristic" Ec_ilpsolver.Heuristic.config gen_heuristic
-  @ roundtrip_tests "simplex" Ec_simplex.Simplex.config gen_simplex
   @ roundtrip_tests "maxsat" Ec_sat.Maxsat.config gen_maxsat
 
 (* --- Engine_config (the union) ------------------------------------ *)
@@ -105,7 +96,7 @@ let union_partial_parse () =
   (match EC.parse "bnb:branching=first-unfixed" with
   | Ok (EC.Bnb o) ->
     Alcotest.(check bool) "branching applied" true (o.Ec_ilpsolver.Bnb.branching = Ec_ilpsolver.Bnb.First_unfixed);
-    Alcotest.(check int) "other fields defaulted" 4 o.Ec_ilpsolver.Bnb.lp_max_depth
+    Alcotest.(check bool) "other fields defaulted" true o.Ec_ilpsolver.Bnb.greedy_completion
   | Ok _ -> Alcotest.fail "wrong engine"
   | Error e -> Alcotest.failf "partial parse: %s" e);
   match EC.parse "cdcl" with
@@ -125,6 +116,11 @@ let union_errors () =
     Alcotest.(check bool) "unknown engine lists known ones" true
       (contains e "cdcl")
   | Ok _ -> Alcotest.fail "unknown engine accepted");
+  (match EC.parse "simplex" with
+  | Error e ->
+    Alcotest.(check bool) "simplex is unknown; the four engines are listed" true
+      (contains e "(known: cdcl, bnb, heuristic, maxsat)")
+  | Ok _ -> Alcotest.fail "simplex accepted");
   (match EC.parse "cdcl:var_decay=verymuch" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "malformed float accepted");
@@ -133,6 +129,11 @@ let union_errors () =
     Alcotest.(check bool) "unknown key error names known keys" true
       (contains e "var_decay")
   | Ok _ -> Alcotest.fail "foreign key accepted");
+  (match EC.parse "bnb:use_lp_bounding=true" with
+  | Error e ->
+    Alcotest.(check bool) "use_lp_bounding is unknown; the known keys are named" true
+      (contains e "(known: branching, greedy_completion, tie_seed)")
+  | Ok _ -> Alcotest.fail "use_lp_bounding accepted");
   match EC.default "cdcl" with
   | Error e -> Alcotest.failf "default cdcl: %s" e
   | Ok t -> (
@@ -147,20 +148,13 @@ let backends_on_config_plane () =
     (fun b ->
       let name = Ec_core.Backend.name b in
       let c = Ec_core.Backend.to_config b in
-      match Ec_core.Backend.of_config c with
-      | Error e -> Alcotest.failf "%s not on the config plane: %s" name e
-      | Ok b' ->
-        Alcotest.(check string) (name ^ ": same engine") name (Ec_core.Backend.name b');
-        Alcotest.(check string)
-          (name ^ ": same configuration")
-          (EC.show c)
-          (EC.show (Ec_core.Backend.to_config b')))
+      let b' = Ec_core.Backend.of_config c in
+      Alcotest.(check string) (name ^ ": same engine") name (Ec_core.Backend.name b');
+      Alcotest.(check string)
+        (name ^ ": same configuration")
+        (EC.show c)
+        (EC.show (Ec_core.Backend.to_config b')))
     Ec_core.Backend.[ cdcl; ilp_exact; ilp_heuristic; maxsat ]
-
-let simplex_not_a_backend () =
-  match Ec_core.Backend.of_config (Result.get_ok (EC.default "simplex")) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "simplex accepted as a feasibility backend"
 
 (* Same digest => bit-identical single-threaded results: solve one
    instance twice through configs built independently (one parsed,
@@ -176,8 +170,7 @@ let determinism_same_digest () =
   Alcotest.(check string) "same digest" (EC.digest c1) (EC.digest c2);
   let solve c =
     let r =
-      Ec_core.Backend.solve_response
-        (Result.get_ok (Ec_core.Backend.of_config c))
+      Ec_core.Backend.solve_response (Ec_core.Backend.of_config c)
         inst.Ec_instances.Registry.formula
     in
     ( (match r.Ec_core.Backend.outcome with
@@ -209,8 +202,6 @@ let tests =
         Alcotest.test_case "error paths name the offender" `Quick union_errors;
         Alcotest.test_case "every backend round-trips through the config plane" `Quick
           backends_on_config_plane;
-        Alcotest.test_case "simplex is not a feasibility backend" `Quick
-          simplex_not_a_backend;
         Alcotest.test_case "same digest, bit-identical result" `Quick
           determinism_same_digest;
         Alcotest.test_case "document covers every engine" `Quick document_covers_engines ] ) ]

@@ -56,21 +56,20 @@ let prop_eval_linear =
 
 let test_model_vars () =
   let m = M.create () in
-  let x = M.add_var m ~name:"x" M.Binary in
-  let y = M.add_var m (M.Continuous (0.0, 2.0)) in
+  let x = M.add_var m ~name:"x" in
+  let y = M.add_var m in
   check Alcotest.int "ids dense" 1 y;
   check Alcotest.int "count" 2 (M.num_vars m);
   check Alcotest.string "named" "x" (M.var_name m x);
   check Alcotest.string "default name" "x1" (M.var_name m y);
   check Alcotest.int "find_var" x (M.find_var m "x");
-  check Alcotest.bool "kind" true (M.var_kind m y = M.Continuous (0.0, 2.0));
   Alcotest.check_raises "unknown id"
     (Invalid_argument "Model: variable id 9 out of range [0,2)") (fun () ->
-      ignore (M.var_kind m 9))
+      ignore (M.var_name m 9))
 
 let test_model_constraints () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
+  let x = M.add_var m in
   M.add_constr m (E.var x) M.Le 1.0;
   M.add_constr m ~name:"lower" (E.var x) M.Ge 0.0;
   check Alcotest.int "count" 2 (M.num_constrs m);
@@ -150,7 +149,7 @@ let prop_flat_constraints =
     (fun (nvars, constrs) ->
       let m = M.create () in
       for _ = 1 to nvars do
-        ignore (M.add_var m M.Binary)
+        ignore (M.add_var m)
       done;
       let posted =
         List.filter
@@ -187,7 +186,7 @@ let prop_flat_constraints =
    the flat arrays. *)
 let test_model_flat_arrays () =
   let m = M.create () in
-  let x = M.add_var m M.Binary and y = M.add_var m M.Binary in
+  let x = M.add_var m and y = M.add_var m in
   M.add_constr m (E.of_terms [ (2.0, y); (1.0, x) ]) M.Le 2.0;
   M.add_constr_terms m ~name:"pair" [ (1.0, y); (-1.0, x); (1.0, y) ] M.Ge 0.0;
   let start = M.term_start m and vars = M.term_vars m and coeffs = M.term_coeffs m in
@@ -222,8 +221,8 @@ let test_solution_values () =
 
 let test_validate_feasible () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
-  let y = M.add_var m M.Binary in
+  let x = M.add_var m in
+  let y = M.add_var m in
   M.add_constr m ~name:"cap" (E.of_terms [ (1.0, x); (1.0, y) ]) M.Le 1.0;
   check Alcotest.bool "feasible" true (V.is_feasible m [| 1.0; 0.0 |]);
   check Alcotest.bool "infeasible" false (V.is_feasible m [| 1.0; 1.0 |]);
@@ -235,8 +234,8 @@ let test_validate_feasible () =
 
 let test_validate_integrality_bounds () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
-  let y = M.add_var m (M.Continuous (0.0, 2.0)) in
+  let x = M.add_var m in
+  let y = M.add_var m in
   (match V.check m [| 0.5; 3.0 |] with
   | [ V.Not_integral (v, _); V.Bound_violated (w, _) ] ->
     check Alcotest.int "fractional binary flagged" x v;
@@ -250,17 +249,18 @@ let test_validate_integrality_bounds () =
 
 let test_validate_objective () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
+  let x = M.add_var m in
   M.set_objective m M.Maximize (E.of_terms ~constant:1.0 [ (3.0, x) ]);
   check feq "objective value" 4.0 (V.objective_value m [| 1.0 |])
 
 let test_validate_eq_relation () =
   let m = M.create () in
-  let x = M.add_var m (M.Continuous (0.0, 10.0)) in
-  M.add_constr m (E.var x) M.Eq 5.0;
-  check Alcotest.bool "eq met" true (V.is_feasible m [| 5.0 |]);
-  check Alcotest.bool "eq violated high" false (V.is_feasible m [| 6.0 |]);
-  check Alcotest.bool "eq violated low" false (V.is_feasible m [| 4.0 |])
+  let x = M.add_var m in
+  let y = M.add_var m in
+  M.add_constr m (E.of_terms [ (1.0, x); (1.0, y) ]) M.Eq 1.0;
+  check Alcotest.bool "eq met" true (V.is_feasible m [| 1.0; 0.0 |]);
+  check Alcotest.bool "eq violated high" false (V.is_feasible m [| 1.0; 1.0 |]);
+  check Alcotest.bool "eq violated low" false (V.is_feasible m [| 0.0; 0.0 |])
 
 let tests =
   [ ( "ilp.linexpr",

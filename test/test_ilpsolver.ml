@@ -25,7 +25,7 @@ type rand_model = {
 let build_model rm =
   let m = M.create () in
   for _ = 1 to rm.nvars do
-    ignore (M.add_var m M.Binary)
+    ignore (M.add_var m)
   done;
   List.iter
     (fun (coeffs, rel, rhs) ->
@@ -118,22 +118,6 @@ let prop_bnb_greedy_off_agrees =
       | S.Infeasible, S.Infeasible -> true
       | _, _ -> false)
 
-let prop_bnb_lp_bounding_agrees =
-  QCheck.Test.make ~name:"bnb optimum independent of LP bounding" ~count:150
-    arb_rand_model (fun rm ->
-      let model () = build_model rm in
-      let s1 = (B.solve_response (model ())).B.solution in
-      let s2 =
-        (B.solve_response
-           ~options:{ B.default_options with use_lp_bounding = true; lp_max_depth = 3 }
-           (model ()))
-          .B.solution
-      in
-      match (s1.S.status, s2.S.status) with
-      | S.Optimal, S.Optimal -> abs_float (s1.S.objective -. s2.S.objective) < 1e-6
-      | S.Infeasible, S.Infeasible -> true
-      | _, _ -> false)
-
 let prop_bnb_branching_agrees =
   QCheck.Test.make ~name:"bnb optimum independent of branching rule" ~count:200
     arb_rand_model (fun rm ->
@@ -160,13 +144,13 @@ let prop_heuristic_sound =
         Ec_ilp.Validate.is_feasible model solution.S.values
         && brute_force rm <> None (* never claims feasible on infeasible models *)
       | S.Unknown -> true
-      | S.Optimal | S.Infeasible | S.Unbounded -> false)
+      | S.Optimal | S.Infeasible -> false)
 
 (* ---- targeted unit tests ---- *)
 
 let test_bnb_knapsack () =
   let m = M.create () in
-  let xs = List.init 4 (fun _ -> M.add_var m M.Binary) in
+  let xs = List.init 4 (fun _ -> M.add_var m) in
   let weights = [ 2.0; 3.0; 4.0; 5.0 ] and values = [ 3.0; 4.0; 5.0; 6.0 ] in
   M.add_constr m (E.of_terms (List.map2 (fun w x -> (w, x)) weights xs)) M.Le 5.0;
   M.set_objective m M.Maximize (E.of_terms (List.map2 (fun v x -> (v, x)) values xs));
@@ -178,8 +162,8 @@ let test_bnb_knapsack () =
 
 let test_bnb_infeasible () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
-  let y = M.add_var m M.Binary in
+  let x = M.add_var m in
+  let y = M.add_var m in
   M.add_constr m (E.of_terms [ (1.0, x); (1.0, y) ]) M.Ge 3.0;
   let s = (B.solve_response m).B.solution in
   check Alcotest.string "infeasible" "infeasible" (S.status_to_string s.S.status)
@@ -187,7 +171,7 @@ let test_bnb_infeasible () =
 let test_bnb_decision_stops_early () =
   (* decision mode returns Feasible (not Optimal) on the first point *)
   let m = M.create () in
-  let xs = List.init 6 (fun _ -> M.add_var m M.Binary) in
+  let xs = List.init 6 (fun _ -> M.add_var m) in
   M.add_constr m (E.of_terms (List.map (fun x -> (1.0, x)) xs)) M.Ge 1.0;
   M.set_objective m M.Minimize (E.of_terms (List.map (fun x -> (1.0, x)) xs));
   let s = (B.solve_decision_response m).B.solution in
@@ -198,7 +182,7 @@ let test_bnb_node_budget () =
   (* a big unconstrained-ish optimization with a 1-node budget: Unknown
      or a feasible incumbent, never a bogus Optimal claim on a hard model *)
   let m = M.create () in
-  let xs = List.init 16 (fun _ -> M.add_var m M.Binary) in
+  let xs = List.init 16 (fun _ -> M.add_var m) in
   List.iteri
     (fun i x ->
       if i > 0 then
@@ -214,19 +198,12 @@ let test_bnb_node_budget () =
   check Alcotest.bool "not optimal under 1-node budget" true
     (s.S.status <> S.Optimal)
 
-let test_bnb_rejects_continuous () =
-  let m = M.create () in
-  ignore (M.add_var m (M.Continuous (0.0, 1.0)));
-  Alcotest.check_raises "continuous rejected"
-    (Invalid_argument "Rows.of_model: continuous variable in a 0-1 model") (fun () ->
-      ignore (B.solve_response m))
-
 let test_bnb_tie_seed_changes_solution () =
   (* On a model with many symmetric optima, different tie seeds can
      pick different points (same objective). *)
   let build () =
     let m = M.create () in
-    let xs = List.init 8 (fun _ -> M.add_var m M.Binary) in
+    let xs = List.init 8 (fun _ -> M.add_var m) in
     M.add_constr m (E.of_terms (List.map (fun x -> (1.0, x)) xs)) M.Ge 4.0;
     m
   in
@@ -239,8 +216,8 @@ let test_bnb_tie_seed_changes_solution () =
 
 let test_heuristic_simple_sat () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
-  let y = M.add_var m M.Binary in
+  let x = M.add_var m in
+  let y = M.add_var m in
   M.add_constr m (E.of_terms [ (1.0, x); (1.0, y) ]) M.Ge 1.0;
   M.add_constr m (E.of_terms [ (-1.0, x); (1.0, y) ]) M.Ge 0.0;
   let r = H.solve_response ~options:{ H.default_options with stop_at_first_feasible = true } m in
@@ -249,8 +226,8 @@ let test_heuristic_simple_sat () =
 
 let test_heuristic_warm_start () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
-  let y = M.add_var m M.Binary in
+  let x = M.add_var m in
+  let y = M.add_var m in
   M.add_constr m (E.of_terms [ (1.0, x) ]) M.Ge 1.0;
   M.add_constr m (E.of_terms [ (1.0, y) ]) M.Ge 1.0;
   let options =
@@ -266,7 +243,7 @@ let test_heuristic_warm_start () =
 
 let test_rows_normalization () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
+  let x = M.add_var m in
   M.add_constr m (E.var x) M.Eq 1.0;
   M.set_objective m M.Maximize (E.of_terms ~constant:2.0 [ (3.0, x) ]);
   let sys = R.of_model m in
@@ -281,8 +258,8 @@ let test_rows_normalization () =
    coefficient of the normalized (Le) row. *)
 let test_rows_occurrences () =
   let m = M.create () in
-  let x = M.add_var m M.Binary in
-  let y = M.add_var m M.Binary in
+  let x = M.add_var m in
+  let y = M.add_var m in
   M.add_constr m (E.of_terms [ (2.0, x); (1.0, y) ]) M.Le 2.0;
   M.add_constr m (E.of_terms [ (3.0, y) ]) M.Ge 1.0;
   M.add_constr m (E.of_terms [ (4.0, x) ]) M.Eq 0.0;
@@ -345,7 +322,7 @@ let prop_rows_match_reference =
     (fun (nvars, rows, (obj, obj_constant, maximize)) ->
       let m = M.create () in
       for _ = 1 to nvars do
-        ignore (M.add_var m M.Binary)
+        ignore (M.add_var m)
       done;
       List.iter (fun r -> M.add_constr_terms m ~constant:r.constant r.terms r.relation r.rhs) rows;
       M.set_objective m (if maximize then M.Maximize else M.Minimize)
@@ -411,63 +388,53 @@ let work_line (r : B.response) =
     String.init (Array.length r.B.solution.S.values) (fun i ->
         if r.B.solution.S.values.(i) > 0.5 then '1' else '0')
   in
-  Printf.sprintf "nodes=%d conflicts=%d fixes=%d lp=%d/%d pivots=%d %s" s.B.nodes s.B.conflicts
-    s.B.propagated_fixes s.B.lp_calls s.B.lp_prunes
-    r.B.counters.Ec_util.Budget.spent_pivots
+  Printf.sprintf "nodes=%d conflicts=%d fixes=%d %s" s.B.nodes s.B.conflicts
+    s.B.propagated_fixes
     (Digest.to_hex (Digest.string point))
 
 (* Recorded with a B&B that recounted the active rows from scratch at
    every node; the incremental counts must branch, propagate and land
-   on the same points.  Optimization mode under a 3 000-node cap (300
-   with LP bounding).  The first four configs are the matrix's [bnb]
-   entries; the fifth reshuffles branching ties from a seed, as the
-   Table 3 baseline does. *)
+   on the same points.  Optimization mode under a 3 000-node cap.  The
+   first three configs are the matrix's [bnb] entries; the fourth
+   reshuffles branching ties from a seed, as the Table 3 baseline
+   does. *)
 let pinned_work =
   [ ( "bnb",
-      [ "par8-1-c enabled: nodes=1111 conflicts=18 fixes=8203 lp=0/0 pivots=0 710c8f14e31485817fc9d50e8dba7124";
-        "par8-1-c plain: nodes=355 conflicts=16 fixes=935 lp=0/0 pivots=0 31c485e3de1204716800e13d0c9dc524";
-        "ii8a1 enabled: nodes=433 conflicts=6 fixes=6368 lp=0/0 pivots=0 0baf977564e3bb3be7ac2ce74fc6ccf7";
-        "ii8a1 plain: nodes=241 conflicts=0 fixes=576 lp=0/0 pivots=0 65ead5ed2b56a28c56f92482b45b7cc0";
-        "jnh1 enabled: nodes=3001 conflicts=196 fixes=161369 lp=0/0 pivots=0 696b9bdf940440d6ecbb722fe06692ac";
-        "jnh1 plain: nodes=3001 conflicts=36 fixes=6872 lp=0/0 pivots=0 0dee8c335ec0d0d4a7cd005a9fc73130";
-        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=64150 lp=0/0 pivots=0 5adfb767e41a3d6b53b2c1ac1ff1fec4";
-        "ii8b2 plain: nodes=3001 conflicts=0 fixes=4052 lp=0/0 pivots=0 f5b5dcf87cee76c2f311f0391bd73efc" ] );
+      [ "par8-1-c enabled: nodes=1111 conflicts=18 fixes=8203 710c8f14e31485817fc9d50e8dba7124";
+        "par8-1-c plain: nodes=355 conflicts=16 fixes=935 31c485e3de1204716800e13d0c9dc524";
+        "ii8a1 enabled: nodes=433 conflicts=6 fixes=6368 0baf977564e3bb3be7ac2ce74fc6ccf7";
+        "ii8a1 plain: nodes=241 conflicts=0 fixes=576 65ead5ed2b56a28c56f92482b45b7cc0";
+        "jnh1 enabled: nodes=3001 conflicts=196 fixes=161369 696b9bdf940440d6ecbb722fe06692ac";
+        "jnh1 plain: nodes=3001 conflicts=36 fixes=6872 0dee8c335ec0d0d4a7cd005a9fc73130";
+        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=64150 5adfb767e41a3d6b53b2c1ac1ff1fec4";
+        "ii8b2 plain: nodes=3001 conflicts=0 fixes=4052 f5b5dcf87cee76c2f311f0391bd73efc" ] );
     ( "bnb:greedy_completion=false",
-      [ "par8-1-c enabled: nodes=2595 conflicts=18 fixes=8203 lp=0/0 pivots=0 6281da782ead72ea99bd130a6729da54";
-        "par8-1-c plain: nodes=401 conflicts=16 fixes=935 lp=0/0 pivots=0 31c485e3de1204716800e13d0c9dc524";
-        "ii8a1 enabled: nodes=803 conflicts=6 fixes=6368 lp=0/0 pivots=0 aa51804a5c70434c64d8702d4b62fd38";
-        "ii8a1 plain: nodes=257 conflicts=0 fixes=576 lp=0/0 pivots=0 65ead5ed2b56a28c56f92482b45b7cc0";
-        "jnh1 enabled: nodes=3001 conflicts=0 fixes=1805 lp=0/0 pivots=0 5890ae21f97c4fac4be7585990e47db7";
-        "jnh1 plain: nodes=3001 conflicts=35 fixes=6745 lp=0/0 pivots=0 0dee8c335ec0d0d4a7cd005a9fc73130";
-        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=3720 lp=0/0 pivots=0 b172efdded76d26f56af162879baf29c";
-        "ii8b2 plain: nodes=3001 conflicts=0 fixes=3925 lp=0/0 pivots=0 f5b5dcf87cee76c2f311f0391bd73efc" ] );
-    ( "bnb:use_lp_bounding=true,lp_max_depth=6",
-      [ "par8-1-c enabled: nodes=301 conflicts=0 fixes=557 lp=0/0 pivots=0 619dc8bac2f160c6e19189f3b2c6b2f8";
-        "par8-1-c plain: nodes=103 conflicts=0 fixes=93 lp=6/5 pivots=517 31c485e3de1204716800e13d0c9dc524";
-        "ii8a1 enabled: nodes=157 conflicts=0 fixes=1594 lp=12/9 pivots=1717 0baf977564e3bb3be7ac2ce74fc6ccf7";
-        "ii8a1 plain: nodes=81 conflicts=0 fixes=198 lp=20/13 pivots=343 65ead5ed2b56a28c56f92482b45b7cc0";
-        "jnh1 enabled: nodes=301 conflicts=0 fixes=2872 lp=0/0 pivots=0 498d3a9524aac2414d788a9f9c99926b";
-        "jnh1 plain: nodes=301 conflicts=0 fixes=354 lp=0/0 pivots=0 cf28ee93df3c4338e38d45048fb77b8b";
-        "ii8b2 enabled: nodes=301 conflicts=0 fixes=4766 lp=0/0 pivots=0 d62c10e7e62d5eb66e4c2380bdabaded";
-        "ii8b2 plain: nodes=301 conflicts=0 fixes=319 lp=0/0 pivots=0 f5b5dcf87cee76c2f311f0391bd73efc" ] );
+      [ "par8-1-c enabled: nodes=2595 conflicts=18 fixes=8203 6281da782ead72ea99bd130a6729da54";
+        "par8-1-c plain: nodes=401 conflicts=16 fixes=935 31c485e3de1204716800e13d0c9dc524";
+        "ii8a1 enabled: nodes=803 conflicts=6 fixes=6368 aa51804a5c70434c64d8702d4b62fd38";
+        "ii8a1 plain: nodes=257 conflicts=0 fixes=576 65ead5ed2b56a28c56f92482b45b7cc0";
+        "jnh1 enabled: nodes=3001 conflicts=0 fixes=1805 5890ae21f97c4fac4be7585990e47db7";
+        "jnh1 plain: nodes=3001 conflicts=35 fixes=6745 0dee8c335ec0d0d4a7cd005a9fc73130";
+        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=3720 b172efdded76d26f56af162879baf29c";
+        "ii8b2 plain: nodes=3001 conflicts=0 fixes=3925 f5b5dcf87cee76c2f311f0391bd73efc" ] );
     ( "bnb:branching=first-unfixed",
-      [ "par8-1-c enabled: nodes=3001 conflicts=1 fixes=14898 lp=0/0 pivots=0 b2e17db70dfa6065cfa79b9826452c90";
-        "par8-1-c plain: nodes=3001 conflicts=0 fixes=2003 lp=0/0 pivots=0 4b3c7bf8a6f837860e897a64db486dae";
-        "ii8a1 enabled: nodes=2354 conflicts=1 fixes=33738 lp=0/0 pivots=0 8c8328a2c26cbc1f2479d92c0bf1bc7d";
-        "ii8a1 plain: nodes=2141 conflicts=0 fixes=3535 lp=0/0 pivots=0 d6cbe9b30705ca1c67cef345947e0f90";
-        "jnh1 enabled: nodes=3001 conflicts=37 fixes=37684 lp=0/0 pivots=0 5275f69d27caf418bf8179d327a1a314";
-        "jnh1 plain: nodes=3001 conflicts=37 fixes=6972 lp=0/0 pivots=0 76ee85202357dfcb956b73cd1325193a";
-        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=18805 lp=0/0 pivots=0 2fe06ccd6e853ae59438ea37fef9277a";
-        "ii8b2 plain: nodes=3001 conflicts=0 fixes=1292 lp=0/0 pivots=0 618a9a56a2677983808356877e154c5d" ] );
+      [ "par8-1-c enabled: nodes=3001 conflicts=1 fixes=14898 b2e17db70dfa6065cfa79b9826452c90";
+        "par8-1-c plain: nodes=3001 conflicts=0 fixes=2003 4b3c7bf8a6f837860e897a64db486dae";
+        "ii8a1 enabled: nodes=2354 conflicts=1 fixes=33738 8c8328a2c26cbc1f2479d92c0bf1bc7d";
+        "ii8a1 plain: nodes=2141 conflicts=0 fixes=3535 d6cbe9b30705ca1c67cef345947e0f90";
+        "jnh1 enabled: nodes=3001 conflicts=37 fixes=37684 5275f69d27caf418bf8179d327a1a314";
+        "jnh1 plain: nodes=3001 conflicts=37 fixes=6972 76ee85202357dfcb956b73cd1325193a";
+        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=18805 2fe06ccd6e853ae59438ea37fef9277a";
+        "ii8b2 plain: nodes=3001 conflicts=0 fixes=1292 618a9a56a2677983808356877e154c5d" ] );
     ( "bnb:tie_seed=7",
-      [ "par8-1-c enabled: nodes=1119 conflicts=18 fixes=8301 lp=0/0 pivots=0 92d1ee8b4a1d67408689ab435e14ffef";
-        "par8-1-c plain: nodes=321 conflicts=14 fixes=945 lp=0/0 pivots=0 31c485e3de1204716800e13d0c9dc524";
-        "ii8a1 enabled: nodes=443 conflicts=6 fixes=6451 lp=0/0 pivots=0 1aa85c1e3d6b75f98f97f5571e9e3dca";
-        "ii8a1 plain: nodes=245 conflicts=0 fixes=602 lp=0/0 pivots=0 0700aa6ea889a3b8cf558973f61b611c";
-        "jnh1 enabled: nodes=3001 conflicts=198 fixes=161518 lp=0/0 pivots=0 4ea77257c009fa0976f87ebab1f21fd3";
-        "jnh1 plain: nodes=3001 conflicts=56 fixes=6999 lp=0/0 pivots=0 5be3959947fa391b53b6f5dd3449136c";
-        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=62983 lp=0/0 pivots=0 4f29f69b9037529fd355ecc1eee9048f";
-        "ii8b2 plain: nodes=3001 conflicts=0 fixes=4374 lp=0/0 pivots=0 62d64b331d7a2db9b3b978fb58a857b8" ] ) ]
+      [ "par8-1-c enabled: nodes=1119 conflicts=18 fixes=8301 92d1ee8b4a1d67408689ab435e14ffef";
+        "par8-1-c plain: nodes=321 conflicts=14 fixes=945 31c485e3de1204716800e13d0c9dc524";
+        "ii8a1 enabled: nodes=443 conflicts=6 fixes=6451 1aa85c1e3d6b75f98f97f5571e9e3dca";
+        "ii8a1 plain: nodes=245 conflicts=0 fixes=602 0700aa6ea889a3b8cf558973f61b611c";
+        "jnh1 enabled: nodes=3001 conflicts=198 fixes=161518 4ea77257c009fa0976f87ebab1f21fd3";
+        "jnh1 plain: nodes=3001 conflicts=56 fixes=6999 5be3959947fa391b53b6f5dd3449136c";
+        "ii8b2 enabled: nodes=3001 conflicts=0 fixes=62983 4f29f69b9037529fd355ecc1eee9048f";
+        "ii8b2 plain: nodes=3001 conflicts=0 fixes=4374 62d64b331d7a2db9b3b978fb58a857b8" ] ) ]
 
 let test_bnb_work_pinned (config, expected) () =
   let options =
@@ -475,8 +442,7 @@ let test_bnb_work_pinned (config, expected) () =
     | Ok (Ec_core.Engine_config.Bnb o) -> o
     | _ -> Alcotest.fail config
   in
-  let cap = if options.B.use_lp_bounding then 300 else 3000 in
-  let options = { options with B.budget = Ec_util.Budget.create ~nodes:cap () } in
+  let options = { options with B.budget = Ec_util.Budget.create ~nodes:3000 () } in
   let got =
     List.map
       (fun (name, m) -> name ^ ": " ^ work_line (B.solve_response ~options m))
@@ -487,7 +453,7 @@ let test_bnb_work_pinned (config, expected) () =
 let test_bnb_decision_work_pinned () =
   let m = List.assoc "par8-1-c enabled" (Lazy.force pinned_models) in
   check Alcotest.string "default config, decision mode"
-    "nodes=44 conflicts=0 fixes=158 lp=0/0 pivots=0 10820b34ac5f6344eb4590400b22be37"
+    "nodes=44 conflicts=0 fixes=158 10820b34ac5f6344eb4590400b22be37"
     (work_line (B.solve_decision_response m))
 
 let tests =
@@ -496,11 +462,9 @@ let tests =
         Alcotest.test_case "infeasible" `Quick test_bnb_infeasible;
         Alcotest.test_case "decision mode" `Quick test_bnb_decision_stops_early;
         Alcotest.test_case "node budget" `Quick test_bnb_node_budget;
-        Alcotest.test_case "rejects continuous" `Quick test_bnb_rejects_continuous;
         Alcotest.test_case "tie seed" `Quick test_bnb_tie_seed_changes_solution;
         qtest prop_bnb_matches_brute_force;
         qtest prop_bnb_greedy_off_agrees;
-        qtest prop_bnb_lp_bounding_agrees;
         qtest prop_bnb_branching_agrees ] );
     ( "ilpsolver.bnb work",
       List.map

@@ -179,13 +179,9 @@ let run_cell_deterministic () =
         (M.scenario_name sc ^ " pairs with a default config")
         true (paired <> []))
     M.builtins;
-  (* simplex pairs with lp, not with the SAT scenarios *)
-  let simplex = Result.get_ok (EC.default "simplex") in
-  Alcotest.(check bool) "simplex x stream unsupported" true
-    (M.run_cell ~commit:"t" stream simplex ~scale:20 = None);
-  match M.run_cell ~commit:"t" (scenario "lp") simplex ~scale:12 with
-  | Some c -> Alcotest.(check bool) "lp solves to optimal" true c.M.ok
-  | None -> Alcotest.fail "simplex x lp should be supported"
+  (* optimize pairs with the bnb configs only *)
+  Alcotest.(check bool) "cdcl x optimize unsupported" true
+    (M.run_cell ~commit:"t" (scenario "optimize") engine ~scale:20 = None)
 
 let tests =
   [ ( "matrix",

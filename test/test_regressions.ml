@@ -9,10 +9,6 @@
         literals were already false at level 0; watch lists only fire
         on new enqueues, so the conflict was never seen and the session
         answered SAT on an unsatisfiable accumulation.
-   R3 — the preprocessor eliminated a variable while a unit on it was
-        still queued (pending units are invisible to occurrence lists),
-        corrupting the resolvent set and reporting UNSAT on a
-        satisfiable formula.
    R4 — every SAT model was built by one [Assignment.set] per variable,
         and each [set] copies the whole assignment, so a model over n
         variables cost O(n²) words: 8.7 M major words per preserving-EC
@@ -76,40 +72,6 @@ let test_r2_session_interleaved () =
   Ec_sat.Incremental.add_clause s (C.make [ -1; -2; -4 ]);
   check Alcotest.string "detected after growth" "unsat"
     (O.to_string (Ec_sat.Incremental.solve s))
-
-(* R3: the original 16-clause counterexample, verbatim. *)
-let test_r3_preprocessor_unit_elimination_race () =
-  let f =
-    F.of_lists ~num_vars:8
-      [ [ -2; -4; 8 ]; [ -1; -5 ]; [ -1; -3; 5 ]; [ 6; -7 ]; [ -5; -8 ];
-        [ 1; -7; -8 ]; [ 1; 2; -6; -7 ]; [ 2; -3; -4; -8 ]; [ 6 ];
-        [ 3; -4; -6 ]; [ 3 ]; [ 1; 4; 5 ]; [ 3 ]; [ 2; 3; 4; -8 ]; [ -1; 2 ];
-        [ 1; -3; 7 ] ]
-  in
-  check Alcotest.bool "formula is satisfiable" true
-    (O.is_sat (Ec_sat.Cdcl.solve_response f).outcome);
-  match Ec_sat.Preprocess.simplify f with
-  | `Unsat -> Alcotest.fail "preprocessor must not refute a satisfiable formula"
-  | `Simplified r -> (
-    match (Ec_sat.Cdcl.solve_response r.Ec_sat.Preprocess.formula).outcome with
-    | O.Sat a ->
-      check Alcotest.bool "lifted model satisfies the original" true
-        (A.satisfies (Ec_sat.Preprocess.reconstruct r a) f)
-    | O.Unsat | O.Unknown _ -> Alcotest.fail "simplified form stays satisfiable")
-
-(* R3 variant: pipeline answer must match plain CDCL on the same
-   instance. *)
-let test_r3_pipeline_agrees () =
-  let f =
-    F.of_lists ~num_vars:8
-      [ [ -2; -4; 8 ]; [ -1; -5 ]; [ -1; -3; 5 ]; [ 6; -7 ]; [ -5; -8 ];
-        [ 1; -7; -8 ]; [ 1; 2; -6; -7 ]; [ 2; -3; -4; -8 ]; [ 6 ];
-        [ 3; -4; -6 ]; [ 3 ]; [ 1; 4; 5 ]; [ 3 ]; [ 2; 3; 4; -8 ]; [ -1; 2 ];
-        [ 1; -3; 7 ] ]
-  in
-  check Alcotest.bool "pipeline = scratch" true
-    (O.is_sat (Ec_sat.Preprocess.solve_with_preprocessing f)
-    = O.is_sat (Ec_sat.Cdcl.solve_response f).outcome)
 
 (* R4: words allocated by [run] alone.  A full major collection
    before each reading flushes the counters: OCaml 5 adds direct
@@ -269,9 +231,6 @@ let tests =
         Alcotest.test_case "R2 session root-falsified clause" `Quick
           test_r2_session_sees_root_falsified_clause;
         Alcotest.test_case "R2 interleaved growth" `Quick test_r2_session_interleaved;
-        Alcotest.test_case "R3 preprocessor unit/elimination race" `Quick
-          test_r3_preprocessor_unit_elimination_race;
-        Alcotest.test_case "R3 pipeline agreement" `Quick test_r3_pipeline_agrees;
         Alcotest.test_case "R4 models cost linear words" `Quick
           test_r4_models_cost_linear_words;
         Alcotest.test_case "R5 B&B node words below rows/10" `Quick test_r5_bnb_node_words;

@@ -244,6 +244,7 @@ let test_plan_parsing () =
   bad "bogus";
   bad "cdcl.answer=explode";
   bad "nosuch.site=corrupt";
+  bad "simplex.solve=raise";
   bad "cdcl.answer=corrupt:zero";
   bad "seed=banana";
   (* *.solve sites take control-flow faults, *.answer sites take
